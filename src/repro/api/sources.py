@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Prot
 
 from ..gen.random_trace import RandomTraceConfig, generate_trace
 from ..gen.suite import BenchmarkProfile
-from ..trace.colfmt import ColfReader, ColfSegment
+from ..trace.colfmt import ColfReader
 from ..trace.event import Event, OpKind
 from ..trace.io import DEFAULT_BATCH_SIZE, infer_format, iter_trace_chunks, iter_trace_file
 from ..trace.trace import Trace
@@ -183,7 +183,7 @@ class FileSource:
 
 
 class ColfSource:
-    """Source holding a colf container mmap'd: threads upfront, segment walks.
+    """Source holding a colf container mmap'd: threads upfront, segment decode.
 
     Where :class:`FileSource` re-opens and re-decodes its file on every
     walk, a ``ColfSource`` keeps the container mapped for its lifetime
@@ -196,9 +196,6 @@ class ColfSource:
     * ``event_batches()`` materializes one segment at a time from the
       mapped columns (three C-speed column passes per segment), never
       touching a text parser.
-    * :meth:`segments` exposes the independently decodable
-      :class:`~repro.trace.colfmt.ColfSegment` windows — the unit the
-      roadmap's segment-parallel walks will fan out over.
 
     The source holds an open file handle/mmap until :meth:`close` (it is
     also a context manager).  ``events()`` can be called repeatedly.
@@ -213,10 +210,6 @@ class ColfSource:
     def threads(self) -> Sequence[int]:
         """The thread universe, read from the container footer."""
         return self._reader.threads()
-
-    def segments(self) -> Sequence[ColfSegment]:
-        """The container's segments; each decodes independently."""
-        return self._reader.segments
 
     def events(self) -> Iterator[Event]:
         for batch in self._reader.iter_batches():

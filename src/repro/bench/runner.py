@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..api import Session
 from ..api.registry import CLOCKS
@@ -387,8 +387,8 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
     For colf files a third ``mode="columns"`` decodes the
     structure-of-arrays columns (kind codes, tid indices, target
     indices) straight off the mmap *without* materializing Event
-    objects — the form the roadmap's segment-parallel consumers read,
-    and the ceiling Event construction cost keeps the other modes from.
+    objects — the ceiling Event construction cost keeps the other
+    modes from.
     """
     import tempfile
     from pathlib import Path
@@ -522,92 +522,6 @@ def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseRe
     )
 
 
-def _run_parallel_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
-    """Segment-parallel session walk, reported in *CPU* time.
-
-    ``workers=1`` runs the ordinary sequential walk and times it with
-    :func:`time.thread_time_ns` — the anchor number.  ``workers>1``
-    runs :meth:`Session.run(parallel=N)` and records the
-    :class:`~repro.analysis.parallel.ParallelReport` critical path (max
-    scan + stitch + max replay, each in its worker's CPU time): the
-    wall time the run would take with ``N`` free cores.  CPU time is
-    the honest basis here — the GIL serializes the actual wall clock,
-    and CI runners don't pin core counts — so the meta block labels the
-    ratio ``modeled_speedup``, never plain "speedup".  The sequential
-    anchor is re-measured inside every parallel case too, keeping each
-    case's ``modeled_speedup`` self-contained in the artifact.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from ..api.sources import ColfSource
-    from ..trace.colfmt import write_colf
-
-    params = case.params
-    specs = [str(spec) for spec in params["specs"]]  # type: ignore[index]
-    workers = int(params.get("workers", 1))
-    trace = _scenario_trace(params)
-    session = Session(specs)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-parallel-") as tmp:
-        path = Path(tmp) / "trace.colf"
-        write_colf(iter(trace), path, segment_events=1024)
-
-        def sequential_cpu_ns() -> int:
-            with ColfSource(path, name=trace.name) as source:
-                started = time.thread_time_ns()
-                session.run(source)
-                return time.thread_time_ns() - started
-
-        def parallel_critical_ns() -> Tuple[int, object]:
-            with ColfSource(path, name=trace.name) as source:
-                result = session.run(source, parallel=workers)
-            report = result.parallel
-            if report is None:
-                raise RuntimeError(
-                    f"parallel walk did not engage for {case.name} "
-                    f"(workers={workers}, segments of {path})"
-                )
-            return report.critical_path_ns, report
-
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            meta: Dict[str, object] = {"workers": workers, "specs": specs}
-            if workers == 1:
-                for _ in range(config.warmup):
-                    sequential_cpu_ns()
-                runs = [sequential_cpu_ns() for _ in range(config.repeats)]
-                meta["measure"] = "sequential_cpu_ns"
-            else:
-                for _ in range(config.warmup):
-                    parallel_critical_ns()
-                runs = []
-                last_report = None
-                for _ in range(config.repeats):
-                    critical, last_report = parallel_critical_ns()
-                    runs.append(critical)
-                sequential = min(sequential_cpu_ns() for _ in range(config.repeats))
-                meta["measure"] = "critical_path_cpu_ns"
-                meta["sequential_cpu_ns"] = sequential
-                meta["modeled_speedup"] = round(sequential / min(runs), 2)
-                if last_report is not None:
-                    meta["chunks"] = last_report.chunks
-                    meta["segments"] = last_report.segments
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    return BenchCaseResult(
-        name=case.name,
-        kind=case.kind,
-        params=case.params,
-        events=len(trace),
-        runs_ns=runs,
-        meta=meta,
-    )
-
-
 #: Case kind -> measurement procedure.
 _RUNNERS: Dict[str, Callable[[BenchCase, BenchConfig], BenchCaseResult]] = {
     "clock_ops": _run_clock_ops_case,
@@ -617,7 +531,6 @@ _RUNNERS: Dict[str, Callable[[BenchCase, BenchConfig], BenchCaseResult]] = {
     "serve_ingest": _run_serve_ingest_case,
     "decode": _run_decode_case,
     "pipeline_walk": _run_pipeline_walk_case,
-    "parallel_session": _run_parallel_session_case,
 }
 
 

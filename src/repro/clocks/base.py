@@ -96,16 +96,6 @@ class WorkCounter:
         self.entries_processed += processed
         self.entries_updated += updated
 
-    def merged_with(self, other: "WorkCounter") -> "WorkCounter":
-        """A new counter with the totals of both counters."""
-        return WorkCounter(
-            entries_processed=self.entries_processed + other.entries_processed,
-            entries_updated=self.entries_updated + other.entries_updated,
-            joins=self.joins + other.joins,
-            copies=self.copies + other.copies,
-            increments=self.increments + other.increments,
-        )
-
     def reset(self) -> None:
         """Zero all counters."""
         self.entries_processed = 0

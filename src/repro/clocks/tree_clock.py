@@ -291,8 +291,9 @@ class TreeClock:
     def seed_vector_time(self, vector_time: VectorTime, anchor: Optional[int] = None) -> None:
         """Overwrite this clock with an absolute vector-time snapshot.
 
-        Used by the segment-parallel runner to reconstruct mid-trace
-        clock state inside a worker before replaying a chunk.  The
+        Used by :meth:`~repro.api.Session.restore` (via the engines'
+        ``restore_state``) to rebuild mid-trace clock state from a
+        checkpoint, as serve's ``stream_resume`` does.  The
         result is a *flat* tree: a root ``(anchor, vector_time[anchor])``
         with every other non-zero entry as a direct child carrying
         ``aclk = root.clk``.
@@ -308,8 +309,8 @@ class TreeClock:
         flat shape is structurally valid (equal child ``aclk`` values
         satisfy the descending-order invariant) and, because all
         children share ``aclk = root.clk``, indirect monotonicity never
-        fires unless the whole clock is already known, so replayed
-        vector times are identical to the sequential run's.
+        fires unless the whole clock is already known, so the vector
+        times computed after the seed match the uninterrupted run's.
 
         Seeding is state restoration, not analysis work: no work-counter
         events are recorded.

@@ -124,8 +124,9 @@ class VectorClock:
     def seed_vector_time(self, vector_time: VectorTime, anchor: Optional[int] = None) -> None:
         """Overwrite this clock with an absolute vector-time snapshot.
 
-        Used by the segment-parallel runner to reconstruct mid-trace
-        clock state inside a worker before replaying a chunk.  Every
+        Used by :meth:`~repro.api.Session.restore` (via the engines'
+        ``restore_state``) to rebuild mid-trace clock state from a
+        checkpoint, as serve's ``stream_resume`` does.  Every
         thread named in ``vector_time`` is registered with the context
         if needed; entries not named are reset to 0.  Seeding is state
         *restoration*, not analysis work, so no work-counter events are

@@ -7,10 +7,8 @@ Given the flat record set :mod:`repro.obs.merge` produced for one
   that survive process boundaries, unlike the legacy per-process
   integers),
 * **phase totals** — every span is classified into one lifecycle phase
-  (submit / queue / dispatch / analyze / scan / stitch / replay /
-  persist) and the per-phase wall time is summed, which is the number
-  the BENCH_parallel modeled critical path can finally be checked
-  against,
+  (submit / queue / dispatch / analyze / persist) and the per-phase
+  wall time is summed,
 * the **critical path** — the chain of spans from the trace root to the
   latest-finishing leaf, with each hop's duration, and
 * renderings: an ASCII gantt for terminals and a Chrome/Perfetto
@@ -27,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Span-name prefix → lifecycle phase. First match wins; order matters
-#: (``session.parallel_scan`` must classify before ``session.``).
+#: Span-name prefix → lifecycle phase. First match wins.
 _PHASE_RULES: Tuple[Tuple[str, str], ...] = (
     ("client.submit", "submit"),
     ("client.stream", "submit"),
@@ -40,9 +37,6 @@ _PHASE_RULES: Tuple[Tuple[str, str], ...] = (
     ("job.persist", "persist"),
     ("worker.task", "analyze"),
     ("serve.execute_task", "analyze"),
-    ("session.parallel_scan", "scan"),
-    ("session.parallel_stitch", "stitch"),
-    ("session.parallel_chunk", "replay"),
     ("session.run", "analyze"),
 )
 
@@ -53,9 +47,6 @@ PHASES: Tuple[str, ...] = (
     "queue",
     "dispatch",
     "analyze",
-    "scan",
-    "stitch",
-    "replay",
     "persist",
 )
 

@@ -153,8 +153,6 @@ class Scheduler:
         num_shards: int = DEFAULT_SHARDS,
         max_inflight: Optional[int] = None,
         chunk_events: int = 2048,
-        parallel_workers: int = 4,
-        parallel_threshold_events: int = 100_000,
         obs_dir: Optional[Union[str, Path]] = None,
         retry_budget: Optional[int] = None,
         journal: Optional[JobJournal] = None,
@@ -194,12 +192,6 @@ class Scheduler:
         # for everything still queued.
         self.max_inflight = max_inflight if max_inflight is not None else 2 * workers
         self.chunk_events = chunk_events
-        #: Corpus entries at or above this event count run segment-parallel
-        #: (colf-stored traces only — Session falls back everywhere else).
-        #: The default threshold keeps small traces on the sequential walk,
-        #: where the parallel scan/stitch overhead isn't worth paying.
-        self.parallel_workers = max(1, parallel_workers)
-        self.parallel_threshold_events = parallel_threshold_events
         #: Terminal (done/failed) jobs kept for status queries; older ones
         #: are pruned so a long-lived server's job history stays bounded
         #: (their results live on in the results store regardless).
@@ -326,13 +318,6 @@ class Scheduler:
                 job.status = JobStatus.RUNNING
                 self._inflight += 1
                 entry = self.corpus.get(job.digest)
-                parallel = 1
-                if (
-                    self.parallel_workers > 1
-                    and entry.trace_fmt == "colf"
-                    and entry.events >= self.parallel_threshold_events
-                ):
-                    parallel = self.parallel_workers
                 task = WorkerTask(
                     task_id=job.job_id,
                     trace_path=str(self.corpus.trace_path(job.digest)),
@@ -340,7 +325,6 @@ class Scheduler:
                     fmt=entry.trace_fmt,
                     trace_name=job.trace_name,
                     chunk_events=self.chunk_events,
-                    parallel=parallel,
                     fault=self.task_faults.get(job.job_id),
                     traceparent=job.traceparent,
                     obs_dir=str(self.obs_dir) if self.obs_dir is not None else None,

@@ -2,11 +2,11 @@
 
 Each worker is a separate ``multiprocessing`` process executing
 :class:`WorkerTask` cells — one (trace file × analysis spec) each —
-through a single-spec :class:`repro.api.Session` fed whole decoded
-chunks at a time (:func:`repro.trace.io.iter_trace_chunks` into
-``Session.feed_batch``, so the per-event cost is one engine dispatch
-and nothing else), and reporting a plain-dict payload back.  Process isolation is the point: a segfaulting
-or wedged analysis takes down one worker, not the service.
+through a single-spec :class:`repro.api.Session` walk over a
+:class:`repro.api.FileSource` (whole decoded chunks per feed, so the
+per-event cost is one engine dispatch and nothing else), and reporting
+a plain-dict payload back.  Process isolation is the point: a
+segfaulting or wedged analysis takes down one worker, not the service.
 
 Assignment is parent-side: every worker has its own one-deep task inbox
 and the pool's monitor thread hands a backlog task to a worker the
@@ -102,13 +102,7 @@ class WorkerTask:
     ``obs_dir`` names the job-scoped observability directory: when set,
     the worker configures its own span exporter to a per-pid file under
     it (``spans-<pid>.jsonl``) and parents its spans — ``worker.task``
-    down to the parallel chunk spans — under the remote context.
-
-    ``parallel`` asks the worker to run the analysis segment-parallel
-    with that many threads (:meth:`Session.run` with ``parallel=N``);
-    it only engages for multi-segment colf traces and silently falls
-    back to the sequential walk everywhere else, so schedulers may set
-    it purely on trace size.
+    and the ``session.run`` walk under it — under the remote context.
     """
 
     task_id: str
@@ -117,58 +111,9 @@ class WorkerTask:
     fmt: Optional[str] = None
     trace_name: str = ""
     chunk_events: int = 2048
-    parallel: int = 1
     fault: Optional[str] = None
     traceparent: Optional[str] = None
     obs_dir: Optional[str] = None
-
-
-def _is_colf_file(path: str, fmt: Optional[str]) -> bool:
-    """Whether the trace file is a colf container (declared or sniffed)."""
-    if fmt is not None:
-        return fmt == "colf"
-    from ..trace.colfmt import is_colf_prefix
-
-    try:
-        with open(path, "rb") as handle:
-            return is_colf_prefix(handle.read(8))
-    except OSError:
-        return False
-
-
-def _run_task_session(task: WorkerTask):
-    """The analysis itself: one Session walk over the task's trace file."""
-    from ..api import Session, coerce_spec
-    from ..trace.io import iter_trace_chunks
-
-    spec = coerce_spec(task.spec)
-    session = Session([spec])
-    if task.parallel > 1 and _is_colf_file(task.trace_path, task.fmt):
-        # Segment-parallel walk over the mmap'd container.  Session.run
-        # falls back to the sequential walk itself when the container
-        # has one segment or the spec's order is not stitchable, so the
-        # scheduler only needs a size heuristic, not format internals.
-        from ..api.sources import ColfSource
-
-        with ColfSource(task.trace_path, name=task.trace_name or task.trace_path) as source:
-            return session.run(source, batch_size=task.chunk_events, parallel=task.parallel)
-    from ..obs import tracing as obs_tracing
-
-    # The chunked feed below bypasses Session.run (and with it the
-    # session.run span Session.run opens), so open the equivalent span
-    # here — the timeline's analyze phase must cover both walk shapes.
-    with obs_tracing.span(
-        "session.run", trace=task.trace_name or task.trace_path, specs=1
-    ) as walk_span:
-        session.begin(name=task.trace_name or task.trace_path)
-        feed_batch = session.feed_batch
-        for chunk in iter_trace_chunks(
-            task.trace_path, fmt=task.fmt, batch_size=task.chunk_events
-        ):
-            feed_batch(chunk)
-        result = session.finish()
-        walk_span.set(events=result.num_events)
-    return result
 
 
 def execute_task(task: WorkerTask) -> Dict[str, object]:
@@ -190,6 +135,7 @@ def execute_task(task: WorkerTask) -> Dict[str, object]:
     if task.fault == "hang":  # test instrumentation: simulate a wedged analysis
         time.sleep(3600)
 
+    from ..api import FileSource, Session
     from ..obs import context as obs_context
     from ..obs import tracing as obs_tracing
 
@@ -214,36 +160,25 @@ def execute_task(task: WorkerTask) -> Dict[str, object]:
         else None
     )
     token = obs_context.attach_context(remote) if remote is not None else None
+    trace_name = task.trace_name or task.trace_path
     try:
-        with obs_tracing.span(
-            "worker.task", job=task.task_id, spec=task.spec, parallel=task.parallel
-        ):
-            result = _run_task_session(task)
+        with obs_tracing.span("worker.task", job=task.task_id, spec=task.spec):
+            source = FileSource(task.trace_path, fmt=task.fmt, name=trace_name)
+            result = Session([task.spec]).run(source, batch_size=task.chunk_events)
     finally:
         if token is not None:
             obs_context.detach_context(token)
         if owns_tracing:
             obs_tracing.shutdown_tracing()
 
-    from ..api import coerce_spec
-
-    spec = coerce_spec(task.spec)
-    analysis = result[spec]
-
+    spec_key, analysis = next(iter(result))
     payload: Dict[str, object] = {
-        "spec": spec.key,
-        "trace": task.trace_name or task.trace_path,
+        "spec": spec_key,
+        "trace": trace_name,
         "events": result.num_events,
         "elapsed_ns": analysis.elapsed_ns,
         "worker_pid": os.getpid(),
     }
-    if result.parallel is not None:
-        payload["parallel"] = {
-            "workers": result.parallel.workers,
-            "chunks": result.parallel.chunks,
-            "segments": result.parallel.segments,
-            "critical_path_ns": result.parallel.critical_path_ns,
-        }
     if analysis.detection is not None:
         payload["race_count"] = analysis.detection.race_count
         payload["races"] = sorted(race.pair() for race in analysis.detection.races)

@@ -788,7 +788,6 @@ class TraceServer(socketserver.ThreadingTCPServer):
         num_shards: int = 8,
         obs_dir: Optional[Union[str, Path]] = None,
         retry_budget: Optional[int] = None,
-        parallel_threshold_events: Optional[int] = None,
         chaos_seed: Optional[int] = None,
     ) -> None:
         # The server process is long-lived and its request rate is tiny
@@ -835,9 +834,6 @@ class TraceServer(socketserver.ThreadingTCPServer):
             self.obs_dir.mkdir(parents=True, exist_ok=True)
         else:
             self.obs_dir = None
-        scheduler_kwargs: Dict[str, object] = {}
-        if parallel_threshold_events is not None:
-            scheduler_kwargs["parallel_threshold_events"] = parallel_threshold_events
         self.scheduler = Scheduler(
             self.corpus,
             self.results,
@@ -848,7 +844,6 @@ class TraceServer(socketserver.ThreadingTCPServer):
             retry_budget=retry_budget,
             journal=self.journal,
             quarantine=self.quarantine,
-            **scheduler_kwargs,  # type: ignore[arg-type]
         )
         #: The chaos monkey (``repro serve --chaos``): SIGKILLs random
         #: live workers on a seeded schedule; ``None`` in normal runs.
@@ -990,7 +985,6 @@ def serve(
     num_shards: int = 8,
     obs_dir: Optional[Union[str, Path]] = None,
     retry_budget: Optional[int] = None,
-    parallel_threshold_events: Optional[int] = None,
     chaos_seed: Optional[int] = None,
 ) -> TraceServer:
     """Construct a :class:`TraceServer` bound to ``(host, port)``.
@@ -1011,6 +1005,5 @@ def serve(
         num_shards=num_shards,
         obs_dir=obs_dir,
         retry_budget=retry_budget,
-        parallel_threshold_events=parallel_threshold_events,
         chaos_seed=chaos_seed,
     )

@@ -648,41 +648,31 @@ def iter_trace_file(source: PathOrFile, fmt: Optional[str] = None) -> Iterator[E
 def iter_trace_chunks(
     source: PathOrFile,
     fmt: Optional[str] = None,
-    chunk_events: Optional[int] = None,
-    batch_size: Optional[int] = None,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Iterator[List[Event]]:
     """Stream a trace file as bounded chunks of events.
 
     The file-level entry of the chunked decoders: the opened (and, for
     ``.gz`` paths, buffered-decompressed) line stream goes straight
     through :func:`iter_std_batches` / :func:`iter_csv_batches`, so no
-    per-event generator hop sits between the file and the batch.  The
-    :mod:`repro.serve` workers feed analysis sessions these chunks via
-    ``Session.feed_batch`` (cancellation and progress checks happen at
-    chunk granularity).  Memory stays O(batch); the final chunk may be
+    per-event generator hop sits between the file and the batch.
+    :class:`repro.api.FileSource` pulls its session batches through
+    here.  Memory stays O(``batch_size``); the final chunk may be
     shorter, and an empty file yields no chunks.
-
-    ``batch_size`` is the canonical knob (shared with the batch
-    decoders); ``chunk_events`` is its historical alias and is honored
-    when ``batch_size`` is not given.  Default:
-    :data:`DEFAULT_BATCH_SIZE`.
     """
-    size = batch_size if batch_size is not None else chunk_events
-    if size is None:
-        size = DEFAULT_BATCH_SIZE
-    if size < 1:
-        raise ValueError("chunk_events/batch_size must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
 
     def _colf_chunks(src: PathOrFile) -> Iterator[List[Event]]:
         from .colfmt import iter_colf_batches
 
-        return iter_colf_batches(src, batch_size=size)
+        return iter_colf_batches(src, batch_size=batch_size)
 
     return _iter_parsed(
         source,
         fmt,
-        lambda handle: iter_std_batches(handle, batch_size=size),
-        lambda handle: iter_csv_batches(handle, batch_size=size),
+        lambda handle: iter_std_batches(handle, batch_size=batch_size),
+        lambda handle: iter_csv_batches(handle, batch_size=batch_size),
         _colf_chunks,
     )
 

@@ -2,9 +2,9 @@
 
 The acceptance scenario of the distributed-tracing work: a served job
 with spans enabled leaves one merged trace linking the client submit,
-the server op, the queue wait, the worker's session, and (for a colf
-submission) the parallel chunk spans — all under a single ``trace_id``
-— and ``repro obs timeline`` / ``repro obs export`` reconstruct it.
+the server op, the queue wait and the worker's session — all under a
+single ``trace_id`` — and ``repro obs timeline`` / ``repro obs export``
+reconstruct it.
 """
 
 import json
@@ -138,57 +138,6 @@ class TestDistributedTrace:
                 assert wait["max_ns"] >= 0
         finally:
             server.close()
-
-    def test_parallel_job_chunk_spans_join_the_submit_trace(self, tmp_path):
-        # The full acceptance scenario: a corpus entry big enough for the
-        # scheduler's segment-parallel path (>1 colf segment) must leave
-        # client submit -> server op -> worker session -> parallel chunk
-        # spans under one trace_id.
-        builder = TraceBuilder(name="big")
-        for _ in range(9000):
-            builder.write(1, "x").acquire(1, "l").write(1, "y").release(1, "l")
-            builder.write(2, "x").acquire(2, "l").read(2, "y").release(2, "l")
-        big_trace = builder.build()  # 72k events -> two 65536-event segments
-
-        obs_dir = tmp_path / "obs"
-        client_spans = tmp_path / "client-spans.jsonl"
-        configure_tracing(client_spans)
-        server = TraceServer(
-            ("127.0.0.1", 0), tmp_path / "corpus", workers=1, obs_dir=obs_dir
-        )
-        server.scheduler.parallel_threshold_events = 1000
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        host, port = server.address
-        try:
-            with ServeClient(host, port) as client:
-                response = client.submit_trace(big_trace, ["shb+tc+detect"])
-                trace_id = response["trace_id"]
-                status = client.wait_idle(timeout=120)
-                assert status["scheduler"]["jobs"]["failed"] == 0
-        finally:
-            server.close()
-        shutdown_tracing()
-
-        records = load_spans([client_spans, obs_dir]).for_trace(trace_id)
-        by_name = {}
-        for record in records:
-            by_name.setdefault(record["name"], []).append(record)
-        session = by_name["session.run"][0]
-        worker = by_name["worker.task"][0]
-        assert session["psid"] == worker["sid"]
-        chunks = by_name["session.parallel_chunk"]
-        scans = by_name["session.parallel_scan"]
-        assert len(chunks) >= 2 and len(scans) >= 2
-        for record in chunks + scans + by_name["session.parallel_stitch"]:
-            assert record["psid"] == session["sid"]
-            assert record["trace_id"] == trace_id
-        # chunk spans carry the chunk/segment attributes the timeline
-        # scan/stitch/replay phases are built from
-        assert {r["attrs"]["chunk"] for r in chunks} == {0, 1}
-        assert all(r["attrs"]["events"] > 0 for r in chunks)
-        timeline = build_timeline(trace_id, records)
-        for phase in ("submit", "queue", "scan", "stitch", "replay"):
-            assert timeline.phase_totals_ns.get(phase, 0) > 0, phase
 
     def test_untraced_server_emits_no_span_files(self, tmp_path, racy_trace):
         server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=1)

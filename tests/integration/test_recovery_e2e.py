@@ -112,9 +112,9 @@ def race_pairs(races):
     )
 
 
-def run_baseline(corpus_dir, trace_files, specs, **server_kwargs):
+def run_baseline(corpus_dir, trace_files, specs):
     """The uninterrupted reference run: results per digest from a fresh server."""
-    server = TraceServer(("127.0.0.1", 0), corpus_dir, workers=2, **server_kwargs)
+    server = TraceServer(("127.0.0.1", 0), corpus_dir, workers=2)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         with ServeClient(*server.address) as client:
@@ -128,24 +128,15 @@ def run_baseline(corpus_dir, trace_files, specs, **server_kwargs):
 class TestKill9MidQueue:
     """SIGKILL with jobs queued/running; restart must converge to baseline."""
 
-    @pytest.mark.parametrize(
-        "parallel",
-        [False, True],
-        ids=["sequential", "parallel"],
-    )
-    def test_differential_recovery_matches_uninterrupted(self, tmp_path, parallel):
+    def test_differential_recovery_matches_uninterrupted(self, tmp_path):
         trace_files = [
             scenario_file(tmp_path, "single_lock", (4, 6000, 0), "t0.std.gz"),
             scenario_file(tmp_path, "star_topology", (6, 6000, 1), "t1.std.gz"),
         ]
-        server_kwargs = {"parallel_threshold_events": 500} if parallel else {}
-        extra_args = ["--parallel-threshold", "500"] if parallel else []
-        baseline = run_baseline(
-            tmp_path / "baseline-corpus", trace_files, SPECS, **server_kwargs
-        )
+        baseline = run_baseline(tmp_path / "baseline-corpus", trace_files, SPECS)
 
         corpus = tmp_path / "crash-corpus"
-        process, host, port = start_serve(corpus, *extra_args)
+        process, host, port = start_serve(corpus)
         digests = []
         try:
             with ServeClient(host, port) as client:
@@ -158,7 +149,7 @@ class TestKill9MidQueue:
         # content addressing: both servers must agree on the digests
         assert set(digests) == set(baseline)
 
-        process, host, port = start_serve(corpus, *extra_args)
+        process, host, port = start_serve(corpus)
         try:
             with ServeClient(host, port) as client:
                 status = client.wait_idle(timeout=300)

@@ -70,15 +70,6 @@ class TestWorkCounter:
         assert counter.entries_processed == 14
         assert counter.entries_updated == 7
 
-    def test_merged_with(self):
-        a, b = WorkCounter(), WorkCounter()
-        a.record_join(5, 2)
-        b.record_copy(3, 1)
-        merged = a.merged_with(b)
-        assert merged.entries_processed == 8
-        assert merged.entries_updated == 3
-        assert merged.joins == 1 and merged.copies == 1
-
     def test_reset(self):
         counter = WorkCounter()
         counter.record_join(5, 2)

@@ -155,12 +155,6 @@ class TestTraceChunksBatchSize:
         assert [len(chunk) for chunk in chunks[:-1]] == [2] * (len(chunks) - 1)
         assert [e for chunk in chunks for e in chunk] == list(sample_trace)
 
-    def test_batch_size_wins_over_chunk_events(self, tmp_path, sample_trace):
-        path = tmp_path / "t.std"
-        save_trace(sample_trace, path)
-        chunks = list(iter_trace_chunks(path, chunk_events=100, batch_size=3))
-        assert len(chunks[0]) == 3
-
     def test_gz_roundtrip_through_buffered_reader(self, tmp_path, sample_trace):
         path = tmp_path / "t.std.gz"
         save_trace(sample_trace, path)

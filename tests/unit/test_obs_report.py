@@ -61,9 +61,6 @@ def job_records():
         record("job.queue_wait", "q1", "s1", 100, 300, attrs={"job": "t#hb"}),
         record("worker.task", "w1", "s1", 400, 900, pid=2, attrs={"job": "t#hb"}),
         record("session.run", "r1", "w1", 420, 880, pid=2),
-        record("session.parallel_scan", "p1", "r1", 430, 500, pid=2),
-        record("session.parallel_stitch", "st1", "r1", 500, 520, pid=2),
-        record("session.parallel_chunk", "ch1", "r1", 520, 870, pid=2),
         record("job.persist", "pe1", "s1", 900, 940),
     ]
 
@@ -74,9 +71,6 @@ class TestPhases:
         assert phase_of("serve.op.submit") == "submit"
         assert phase_of("job.queue_wait") == "queue"
         assert phase_of("worker.task") == "analyze"
-        assert phase_of("session.parallel_scan") == "scan"
-        assert phase_of("session.parallel_stitch") == "stitch"
-        assert phase_of("session.parallel_chunk") == "replay"
         assert phase_of("session.run") == "analyze"
         assert phase_of("job.persist") == "persist"
         assert phase_of("something.else") is None
@@ -132,9 +126,6 @@ class TestTimeline:
         # worker.task (500) only; session.run nests inside it.
         assert phases["analyze"] == 500
         assert phases["queue"] == 200
-        assert phases["scan"] == 70
-        assert phases["stitch"] == 20
-        assert phases["replay"] == 350
         assert phases["persist"] == 40
 
     def test_dispatch_gap_is_queue_end_to_task_start(self):
@@ -152,7 +143,7 @@ class TestTimeline:
         payload = build_timeline(TRACE, job_records()).as_dict()
         assert payload["schema"] == "repro-obs-timeline/1"
         assert payload["trace_id"] == TRACE
-        assert payload["spans"] == 9
+        assert payload["spans"] == 6
         assert payload["pids"] == [1, 2]
         assert set(payload["phases_ns"]) == set(PHASES)
         assert payload["tree"][0]["name"] == "client.submit"
@@ -161,7 +152,7 @@ class TestTimeline:
 
     def test_render_gantt_lists_every_span_and_phase(self):
         text = render_gantt(build_timeline(TRACE, job_records()))
-        for name in ("client.submit", "worker.task", "session.parallel_chunk"):
+        for name in ("client.submit", "worker.task", "session.run"):
             assert name in text
         for phase in ("submit", "queue", "dispatch", "analyze", "persist"):
             assert phase in text
@@ -179,7 +170,7 @@ class TestChromeExport:
         payload = to_chrome_trace(job_records())
         json.dumps(payload)
         events = payload["traceEvents"]
-        assert len(events) == 9
+        assert len(events) == 6
         assert all(event["ph"] == "X" for event in events)
         submit = next(e for e in events if e["name"] == "client.submit")
         assert submit["cat"] == "submit"

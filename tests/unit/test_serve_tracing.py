@@ -124,38 +124,24 @@ class TestExecuteTaskPropagation:
         assert "worker.task" in names
 
 
-class TestParallelSessionSpans:
-    def run_task(self, colf_trace, obs_dir, parallel):
+class TestWorkerSessionSpans:
+    def run_task(self, colf_trace, obs_dir):
         ctx = obs_context.new_context()
         execute_task(
             WorkerTask(
-                task_id=f"j-par{parallel}",
+                task_id="j-seq",
                 trace_path=str(colf_trace),
                 spec="hb",
-                parallel=parallel,
                 traceparent=ctx.to_traceparent(),
                 obs_dir=str(obs_dir),
             )
         )
         return one_trace(obs_dir, ctx)
 
-    def test_parallel_chunk_spans_parent_under_session_run(self, tmp_path, colf_trace):
-        records = self.run_task(colf_trace, tmp_path, parallel=2)
-        session = next(r for r in records if r["name"] == "session.run")
-        scans = [r for r in records if r["name"] == "session.parallel_scan"]
-        stitches = [r for r in records if r["name"] == "session.parallel_stitch"]
-        chunks = [r for r in records if r["name"] == "session.parallel_chunk"]
-        assert len(scans) == 2 and len(chunks) == 2 and len(stitches) == 1
-        for record in scans + stitches + chunks:
-            assert record["psid"] == session["sid"]
-            assert record["trace_id"] == session["trace_id"]
-        assert {r["attrs"]["chunk"] for r in chunks} == {0, 1}
-
     def test_sequential_run_has_no_chunk_spans(self, tmp_path, colf_trace):
-        records = self.run_task(colf_trace, tmp_path, parallel=1)
+        records = self.run_task(colf_trace, tmp_path)
         names = [r["name"] for r in records]
         assert "session.run" in names
-        assert not any(name.startswith("session.parallel_") for name in names)
 
 
 class TestPoolCrashRetryTracing:
