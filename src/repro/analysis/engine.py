@@ -61,6 +61,13 @@ from .serial import (
 EventHandler = Optional[Callable[[Event, Clock], None]]
 
 
+class _FinishedDispatch(dict):
+    """The dispatch table of a finished run: every lookup is a misuse."""
+
+    def __missing__(self, kind: OpKind) -> EventHandler:
+        raise RuntimeError("feed() called after finish(); call begin() to start a new run")
+
+
 class PartialOrderAnalysis:
     """Base class of the streaming partial-order analyses.
 
@@ -450,6 +457,10 @@ class PartialOrderAnalysis:
             registry.histogram("engine.run_ns", **labels).observe(elapsed_ns)
             if detection is not None:
                 registry.counter("engine.races_found", **labels).inc(detection.race_count)
+        # The dispatch table's bound methods make the analysis a reference
+        # cycle; dropping it lets a finished run's clocks be freed as soon
+        # as the analysis is, not at the next full garbage collection.
+        self._dispatch = _FinishedDispatch()
         return AnalysisResult(
             partial_order=self.PARTIAL_ORDER,
             clock_name=clock_name,

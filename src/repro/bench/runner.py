@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 from ..api import Session
 from ..api.registry import CLOCKS
 from ..api.sources import EventSource, FileSource, GeneratorSource
+from ..clocks import WorkCounter
 from ..gen.scenarios import SCENARIOS
 from ..gen.suite import BenchmarkProfile, get_profile
 from .kernels import ClockOpLog, record_clock_ops, replay_clock_ops
@@ -131,6 +132,10 @@ def _run_clock_ops_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult
     log: ClockOpLog = record_clock_ops(trace, order=str(case.params.get("order", "hb")))
     clock_class = CLOCKS.get(str(case.params["clock"]))
     runs = _timed_runs(lambda: replay_clock_ops(clock_class, log), config)
+    # One more replay, outside the timed runs, counts the paper's work
+    # units, so the artifact carries ns per work unit next to the time.
+    work = WorkCounter()
+    replay_clock_ops(clock_class, log, counter=work)
     return BenchCaseResult(
         name=case.name,
         kind=case.kind,
@@ -142,6 +147,9 @@ def _run_clock_ops_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult
             "joins": log.num_joins,
             "copies": log.num_copies,
             "threads": len(log.threads),
+            "entries_processed": work.entries_processed,
+            "entries_updated": work.entries_updated,
+            "ns_per_entry": round(min(runs) / max(work.entries_processed, 1), 1),
         },
     )
 

@@ -129,24 +129,11 @@ class ClockContext:
     threads: Sequence[int]
     counter: Optional[WorkCounter] = None
     index_of: Dict[int, int] = field(init=False)
-    #: Shared tree-clock work lists (updated-node stack, traversal frames,
-    #: recycled-node free list).  Clock operations are single-threaded and
-    #: non-reentrant within one analysis run, so one set per context
-    #: serves every tree clock of the run — O(1) memory instead of
-    #: per-clock lists on analyses that keep one clock per variable.
-    tc_stack: list = field(init=False, repr=False)
-    tc_frame_nodes: list = field(init=False, repr=False)
-    tc_frame_children: list = field(init=False, repr=False)
-    tc_free: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ordered = list(dict.fromkeys(self.threads))
         self.threads = ordered
         self.index_of = {tid: position for position, tid in enumerate(ordered)}
-        self.tc_stack = []
-        self.tc_frame_nodes = []
-        self.tc_frame_children = []
-        self.tc_free = []
 
     @property
     def num_threads(self) -> int:
@@ -161,9 +148,9 @@ class ClockContext:
         """Register ``tid`` in the universe (idempotent) and return its index.
 
         Existing clocks keep working after a registration: vector clocks
-        grow their dense arrays lazily and tree clocks are sparse to begin
-        with, so dynamic registration costs nothing on the static
-        (whole-trace) path where the universe is known upfront.
+        and tree clocks grow their dense arrays lazily, so dynamic
+        registration costs nothing on the static (whole-trace) path where
+        the universe is known upfront.
         """
         index = self.index_of.get(tid)
         if index is None:

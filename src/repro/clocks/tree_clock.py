@@ -21,68 +21,136 @@ Consequently both operations run in time proportional to the number of
 entries that actually change (plus a constant per operation), which is
 the basis of the vt-optimality result (Theorem 1).
 
-The implementation below mirrors the paper's pseudocode, with the
-recursive traversals made iterative (as in the authors' Java artifact)
-and the child lists kept as intrusive doubly-linked lists so that both
-``pushChild`` and node detachment are O(1).
+Layout.  The tree is stored as six parallel int lists (structure of
+arrays, the layout of the authors' Java artifact), indexed by the dense
+thread index :class:`ClockContext` assigns:
 
-Beyond the algorithmic structure, the hot path (one join or monotone
-copy per synchronization event) is tuned to avoid per-event allocation,
-which dominates the constant factor in CPython:
+* ``_clk`` and ``_aclk`` — the local time and the attachment clock
+  (``-1`` stands for the root's ⊥);
+* ``_parent``, ``_head`` (first child), ``_nxt`` and ``_prv`` (sibling
+  links) — ``-1`` is the null link.
 
-* the paper's ``detachNodes`` + ``attachNodes`` passes are fused into a
-  single :meth:`_apply_updated_nodes` sweep (one stack drain and one
-  thread-map lookup per updated node instead of two);
-* the traversal work lists (the updated-node stack and the pruned
-  pre-order frames) live on the shared :class:`ClockContext` and are
-  reused across operations instead of being allocated per call, with the
-  frame tuples replaced by two parallel lists;
-* nodes dropped by a deep copy go onto the context's shared **free
-  list** and are recycled by later attaches and copies of any clock, so
-  steady-state operation allocates no :class:`TreeClockNode` objects;
-* :meth:`_deep_copy_from` rebuilds in place, reusing this clock's
-  existing nodes, and is fully iterative (no recursion, no per-node
-  closure calls), so adversarially deep trees cannot blow the stack.
+The root is stored as an index (``-1`` for an empty clock).  A thread is
+in the tree iff it is the root or has a parent; every other entry reads
+``clk = 0`` with all links null.  The columns grow lazily with the thread
+universe, like the vector clock's array.  No node objects exist:
+:class:`TreeClockNode` is a read-only view for introspection only.
 
-The differential test harness (``tests/differential/``) pins these
-optimizations to the semantics of the plain vector clock: every mutation
-is cross-checked against ``VectorClock`` and ``validate_structure()``.
+Join and copy.  The paper's two passes (``getUpdatedNodes``, then
+``detachNodes`` + ``attachNodes``) are fused into one pruned pre-order
+walk of ``other``'s tree, which climbs back up through ``other``'s
+``_parent`` column and so needs no stack.  Three rules keep the result
+identical to the two-pass algorithm — the same tree and the same work
+counts (``tests/differential/test_tree_clock_shape.py`` holds it to a
+reference two-pass implementation):
+
+1. a node's ``clk`` is written at its post-order finish, so the
+   indirect-monotonicity test ``aclk <= Get(parent)`` still reads the
+   parent's *old* value, as the gathering pass does;
+2. each re-linked child goes right *after* the last child re-linked
+   under the same parent in this operation (the child the walk last
+   climbed back from, or a repositioned old root), which is the order
+   front-pushing the gathered nodes in reverse post-order gives: the
+   re-linked children lead the list in ``other``'s descending-``aclk``
+   order;
+3. a child that already sits in that place is neither unlinked nor
+   re-linked.
+
+A deep copy is six slice copies.  Every traversal is iterative, so
+degenerate deep trees cannot overflow the Python call stack.
+
+Cost.  The columns are dense, so a clock that holds any entry takes six
+lists as long as the thread universe (``k``), allocated when it is first
+written.  The walk is cheap because of that, and it pays off when trees
+are dense relative to ``k``, as they become once a trace has run long
+enough for knowledge to spread.  On a short trace over many threads,
+where most auxiliary clocks are written once and hold a handful of
+entries, that allocation dominates instead (the ``clocks`` suite's
+pairwise and star scenarios at a few hundred threads).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from operator import ne
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .base import ClockContext, VectorTime
 
 
+@lru_cache(maxsize=8)
+def _blank_columns(size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``size`` zeros and ``size`` null links, for :meth:`TreeClock._grow`.
+
+    A clock's columns mostly grow from empty to the whole universe, so
+    the sizes repeat, and extending a list by an existing sequence is
+    several times cheaper than building ``[-1] * size`` for each of six
+    columns.
+    """
+    return (0,) * size, (-1,) * size
+
+
+def _link(column: str, doc: str) -> property:
+    def read(self: "TreeClockNode") -> Optional["TreeClockNode"]:
+        index = getattr(self.clock, column)[self.index]
+        return None if index < 0 else TreeClockNode(self.clock, index)
+
+    return property(read, doc=doc)
+
+
 class TreeClockNode:
-    """A single node of a tree clock.
+    """Read-only view of one node of a tree clock.
 
     Attributes mirror the paper's ``(tid, clk, aclk)`` triple; ``aclk`` is
-    ``None`` for the root.  Sibling links (``next_sibling`` /
-    ``prev_sibling``) implement the ordered child list, whose head
-    (``first_child``) holds the most recently attached child, i.e. the
-    child with the largest attachment clock.
+    ``None`` for the root.  The child list runs from ``first_child``
+    (the most recently attached child, with the largest attachment
+    clock) along ``next_sibling``.  A view reads the clock's columns
+    live; two views are equal when they name the same entry of the same
+    clock.
     """
 
-    __slots__ = ("tid", "clk", "aclk", "parent", "first_child", "next_sibling", "prev_sibling")
+    __slots__ = ("clock", "index")
 
-    def __init__(self, tid: int, clk: int = 0, aclk: Optional[int] = None) -> None:
-        self.tid = tid
-        self.clk = clk
-        self.aclk = aclk
-        self.parent: Optional["TreeClockNode"] = None
-        self.first_child: Optional["TreeClockNode"] = None
-        self.next_sibling: Optional["TreeClockNode"] = None
-        self.prev_sibling: Optional["TreeClockNode"] = None
+    def __init__(self, clock: "TreeClock", index: int) -> None:
+        self.clock = clock
+        self.index = index
+
+    @property
+    def tid(self) -> int:
+        return self.clock._threads[self.index]
+
+    @property
+    def clk(self) -> int:
+        return self.clock._clk[self.index]
+
+    @property
+    def aclk(self) -> Optional[int]:
+        aclk = self.clock._aclk[self.index]
+        return None if aclk < 0 else aclk
+
+    parent = _link("_parent", "The parent node (``None`` for the root).")
+    first_child = _link("_head", "The most recently attached child.")
+    next_sibling = _link("_nxt", "The next (older) sibling.")
+    prev_sibling = _link("_prv", "The previous (newer) sibling.")
 
     def children(self) -> Iterator["TreeClockNode"]:
         """Iterate children from the most recently attached to the oldest."""
-        child = self.first_child
-        while child is not None:
-            yield child
-            child = child.next_sibling
+        clock = self.clock
+        nxt = clock._nxt
+        child = clock._head[self.index]
+        while child >= 0:
+            yield TreeClockNode(clock, child)
+            child = nxt[child]
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, TreeClockNode)
+            and other.clock is self.clock
+            and other.index == self.index
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.clock), self.index))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         aclk = "⊥" if self.aclk is None else self.aclk
@@ -106,36 +174,62 @@ class TreeClock:
 
     SHORT_NAME = "TC"
 
-    __slots__ = ("context", "owner", "_root", "_nodes")
+    __slots__ = (
+        "context", "owner", "_index_of", "_threads",
+        "_root", "_clk", "_aclk", "_parent", "_head", "_nxt", "_prv",
+    )
 
     def __init__(self, context: ClockContext, owner: Optional[int] = None) -> None:
         self.context = context
         self.owner = owner
-        self._root: Optional[TreeClockNode] = None
-        self._nodes: Dict[int, TreeClockNode] = {}
-        # The join/copy work lists and the recycled-node free list live on
-        # the shared context (empty between operations), so per-variable
-        # auxiliary clocks stay as small as a dict plus two pointers.
+        # The context's thread map and list (grown in place), cached for
+        # the per-event ``get`` / ``increment``.
+        self._index_of = context.index_of
+        self._threads = context.threads
+        self._root = -1
+        self._clk: List[int] = []
+        self._aclk: List[int] = []
+        self._parent: List[int] = []
+        self._head: List[int] = []
+        self._nxt: List[int] = []
+        self._prv: List[int] = []
         if owner is not None:
-            root = TreeClockNode(owner, 0, None)
-            self._root = root
-            self._nodes[owner] = root
+            self._root = context.add_thread(owner)
+            self._grow()
+
+    def _columns(self) -> Tuple[List[int], ...]:
+        """``clk``, then the five columns whose null value is ``-1``."""
+        return (self._clk, self._aclk, self._parent, self._head, self._nxt, self._prv)
+
+    def _grow(self) -> None:
+        """Extend the columns to the current size of the thread universe."""
+        missing = self.context.num_threads - len(self._clk)
+        if missing > 0:
+            zeros, nulls = _blank_columns(missing)
+            self._clk += zeros
+            for column in self._columns()[1:]:
+                column += nulls
 
     # -- basic accessors ----------------------------------------------------------
 
     def get(self, tid: int) -> int:
         """The recorded local time of thread ``tid`` (0 if unknown)."""
-        node = self._nodes.get(tid)
-        return node.clk if node is not None else 0
+        try:
+            return self._clk[self._index_of[tid]]
+        except (KeyError, IndexError):
+            # An unknown thread, or one registered after the columns last
+            # grew: either way this clock has not heard of it.
+            return 0
 
     def increment(self, tid: int, amount: int = 1) -> None:
         """Advance the root thread's clock (``Increment`` in the paper)."""
-        if self._root is None or self._root.tid != tid:
+        root = self._root
+        if root < 0 or self._threads[root] != tid:
             raise ValueError(
                 f"increment of thread t{tid} on a tree clock rooted at "
-                f"{'nothing' if self._root is None else f't{self._root.tid}'}"
+                f"{'nothing' if root < 0 else f't{self._threads[root]}'}"
             )
-        self._root.clk += amount
+        self._clk[root] += amount
         counter = self.context.counter
         if counter is not None:
             counter.record_increment()
@@ -143,16 +237,23 @@ class TreeClock:
     @property
     def root(self) -> Optional[TreeClockNode]:
         """The root node (``None`` for an empty auxiliary clock)."""
-        return self._root
+        return None if self._root < 0 else TreeClockNode(self, self._root)
 
     @property
     def node_count(self) -> int:
         """Number of thread entries stored in the clock."""
-        return len(self._nodes)
+        if self._root < 0:
+            return 0
+        return len(self._parent) - self._parent.count(-1) + 1
 
     def node_of(self, tid: int) -> Optional[TreeClockNode]:
         """The node of thread ``tid``, if present (``ThrMap`` in the paper)."""
-        return self._nodes.get(tid)
+        index = self._index_of.get(tid)
+        if index is None or index >= len(self._clk):
+            return None
+        if index != self._root and self._parent[index] < 0:
+            return None
+        return TreeClockNode(self, index)
 
     # -- comparison ----------------------------------------------------------------
 
@@ -166,13 +267,16 @@ class TreeClock:
         HB/SHB/MAZ algorithms use it).  For arbitrary clocks use
         :meth:`leq_full`.
         """
-        if self._root is None:
+        root = self._root
+        if root < 0:
             return True
-        return self._root.clk <= other.get(self._root.tid)
+        other_clk = other._clk
+        return self._clk[root] <= (other_clk[root] if root < len(other_clk) else 0)
 
     def leq_full(self, other: "TreeClock") -> bool:
         """Full pointwise comparison ``self ⊑ other`` (Θ(size) time)."""
-        return all(node.clk <= other.get(tid) for tid, node in self._nodes.items())
+        threads = self._threads
+        return all(clk <= other.get(threads[index]) for index, clk in enumerate(self._clk) if clk)
 
     # -- join ------------------------------------------------------------------------
 
@@ -186,38 +290,31 @@ class TreeClock:
         before every event's joins, and auxiliary clocks are copies of
         thread clocks.
         """
-        counter = self.context.counter
         other_root = other._root
-        if other_root is None:
+        root = self._root
+        if other_root < 0:
             # Joining the all-zero vector time is a no-op.
-            if counter is not None:
-                counter.record_join(processed=0, updated=0)
-            return
-        if self._root is None:
+            processed = updated = 0
+        elif root < 0:
             # An un-owned empty clock has no root to attach under; the join
             # degenerates to a full copy.  The partial-order algorithms never
             # hit this case (only thread clocks, which own a root, join).
-            updated, processed = self._deep_copy_from(other)
-            if counter is not None:
-                counter.record_join(processed=processed, updated=updated)
-            return
-        if other_root.clk <= self.get(other_root.tid):
-            # Direct monotonicity at the root: nothing in `other` is new.
-            if counter is not None:
-                counter.record_join(processed=1, updated=0)
-            return
-
-        stack = self.context.tc_stack
-        processed = 1 + self._gather_updated_nodes(stack, other_root, old_root_tid=None)
-        updated = self._apply_updated_nodes(stack)
-
-        # Place the updated subtree under the root of this clock, at the
-        # front of its child list (it carries the freshest attachment clock).
-        subtree_root = self._nodes[other_root.tid]
-        root = self._root
-        if subtree_root is not root:
-            subtree_root.aclk = root.clk
-            self._push_child(subtree_root, root)
+            processed, updated = self._deep_copy_from(other)
+        else:
+            clk = self._clk
+            if len(clk) < len(other._clk):
+                self._grow()
+            if other._clk[other_root] <= clk[other_root]:
+                # Direct monotonicity at the root: nothing in `other` is new.
+                processed, updated = 1, 0
+            else:
+                processed, updated = self._walk(other, -1)
+                if other_root != root:
+                    # Place the updated subtree under the root of this clock, at
+                    # the front (it carries the freshest attachment clock).
+                    self._aclk[other_root] = clk[root]
+                    self._link_after(other_root, root, -1)
+        counter = self.context.counter
         if counter is not None:
             counter.record_join(processed=processed, updated=updated)
 
@@ -231,36 +328,29 @@ class TreeClock:
         even when its time has not progressed, because the root of the
         result must carry the same thread as ``other``'s root.
         """
-        counter = self.context.counter
-        other_root = other._root
-        if other_root is None:
-            # self ⊑ 0 implies self is the zero vector already.
-            if counter is not None:
-                counter.record_copy(processed=0, updated=0)
-            return
-
+        new_root = other._root
         old_root = self._root
-        stack = self.context.tc_stack
-        processed = 1 + self._gather_updated_nodes(
-            stack, other_root, old_root_tid=None if old_root is None else old_root.tid
-        )
-        updated = self._apply_updated_nodes(stack)
-
-        new_root = self._nodes[other_root.tid]
-        new_root.parent = None
-        new_root.aclk = None
-        self._root = new_root
-        if old_root is not None and old_root is not new_root and old_root.parent is None:
-            # The pruned traversal never examined the old root's thread
-            # (an ancestor in `other` was already fully known), so it was
-            # not repositioned and would be left unreachable.  Re-attach
-            # it under the new root with the freshest attachment clock:
-            # at local time `new_root.clk` the new root's thread knows
-            # everything this clock holds — including the old root's
-            # subtree — so the aclk invariant holds, and pushing the
-            # largest aclk at the front keeps the descending order.
-            old_root.aclk = new_root.clk
-            self._push_child(old_root, new_root)
+        if new_root < 0:
+            # self ⊑ 0 implies self is the zero vector already.
+            processed = updated = 0
+        else:
+            if len(self._clk) < len(other._clk):
+                self._grow()
+            processed, updated = self._walk(other, old_root)
+            self._aclk[new_root] = -1
+            self._root = new_root
+            if old_root >= 0 and old_root != new_root and self._parent[old_root] < 0:
+                # The pruned walk never examined the old root's thread (an
+                # ancestor in `other` was already fully known), so it was not
+                # repositioned and would be left unreachable.  Re-attach it
+                # under the new root with the freshest attachment clock: at
+                # local time `clk[new_root]` the new root's thread knows
+                # everything this clock holds — including the old root's
+                # subtree — so the aclk invariant holds, and the front of the
+                # list keeps the descending order.
+                self._aclk[old_root] = self._clk[new_root]
+                self._link_after(old_root, new_root, -1)
+        counter = self.context.counter
         if counter is not None:
             counter.record_copy(processed=processed, updated=updated)
 
@@ -275,16 +365,13 @@ class TreeClock:
         """
         if self.leq(other):
             self.monotone_copy(other)
-            return
-        counter = self.context.counter
-        updated, processed = self._deep_copy_from(other)
-        if counter is not None:
-            counter.record_copy(processed=processed, updated=updated)
+        else:
+            self.copy_from(other)
 
     def copy_from(self, other: "TreeClock") -> None:
         """Unconditional deep copy of ``other`` into this clock."""
+        processed, updated = self._deep_copy_from(other)
         counter = self.context.counter
-        updated, processed = self._deep_copy_from(other)
         if counter is not None:
             counter.record_copy(processed=processed, updated=updated)
 
@@ -315,10 +402,7 @@ class TreeClock:
         Seeding is state restoration, not analysis work: no work-counter
         events are recorded.
         """
-        for node in list(self._nodes.values()):
-            self._recycle(node)
-        self._nodes = {}
-        self._root = None
+        self._clear()
         if anchor is None:
             anchor = self.owner
         if anchor is None:
@@ -329,342 +413,256 @@ class TreeClock:
                 )
             return
         context = self.context
-        if anchor not in context.index_of:
-            context.add_thread(anchor)
-        root = TreeClockNode(anchor, vector_time.get(anchor, 0), None)
+        root = context.add_thread(anchor)
+        children = [
+            (context.add_thread(tid), clk)
+            for tid, clk in vector_time.items()
+            if tid != anchor and clk
+        ]
+        self._grow()
         self._root = root
-        self._nodes[anchor] = root
-        free = context.tc_free
-        for tid, clk in vector_time.items():
-            if tid == anchor or not clk:
-                continue
-            if tid not in context.index_of:
-                context.add_thread(tid)
-            if free:
-                node = free.pop()
-                node.tid = tid
-            else:
-                node = TreeClockNode(tid)
-            node.clk = clk
-            node.aclk = root.clk
-            self._nodes[tid] = node
-            self._push_child(node, root)
+        self._clk[root] = vector_time.get(anchor, 0)
+        for index, clk in children:
+            self._clk[index] = clk
+            self._aclk[index] = self._clk[root]
+            self._link_after(index, root, -1)
 
     # -- snapshots and introspection ------------------------------------------------------
 
     def as_dict(self) -> VectorTime:
         """Snapshot of the vector time represented by this clock."""
-        return {tid: node.clk for tid, node in self._nodes.items() if node.clk}
+        threads = self._threads
+        return {threads[index]: clk for index, clk in enumerate(self._clk) if clk}
 
     def nodes(self) -> Iterator[TreeClockNode]:
-        """Iterate all nodes in pre-order from the root, then any detached nodes."""
-        seen = set()
-        if self._root is not None:
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                seen.add(node.tid)
-                yield node
-                stack.extend(node.children())
-        for tid, node in self._nodes.items():
-            if tid not in seen:
-                yield node
+        """Iterate all nodes in pre-order from the root."""
+        return (TreeClockNode(self, index) for index, _ in self._preorder())
 
     def depth(self) -> int:
         """Height of the tree (0 for an empty clock, 1 for a single root)."""
-        if self._root is None:
-            return 0
-        best = 0
-        stack: List[Tuple[TreeClockNode, int]] = [(self._root, 1)]
+        return max((level for _, level in self._preorder()), default=0)
+
+    def _preorder(self) -> Iterator[Tuple[int, int]]:
+        """``(index, level)`` of every node in pre-order, the root at level 1."""
+        head, nxt = self._head, self._nxt
+        stack = [(self._root, 1)] if self._root >= 0 else []
         while stack:
-            node, level = stack.pop()
-            best = max(best, level)
-            for child in node.children():
+            index, level = stack.pop()
+            yield index, level
+            child = head[index]
+            while child >= 0:
                 stack.append((child, level + 1))
-        return best
+                child = nxt[child]
 
     def validate_structure(self) -> List[str]:
         """Check internal invariants; returns a list of violation messages.
 
-        Verified invariants: the thread map and the tree agree, parent /
-        child / sibling pointers are consistent, each thread appears at
-        most once, child lists are sorted by descending attachment clock,
-        and every non-root reachable node carries an attachment clock.
+        Verified invariants: the columns have one length, parent / child
+        / sibling links are consistent, each thread appears at most once,
+        child lists are sorted by descending attachment clock, every
+        non-root node carries an attachment clock, every entry with a
+        parent is reachable from the root, and entries outside the tree
+        are reset (``clk`` 0, no links).
         """
+        clk, aclk, parent, head, nxt, prv = self._columns()
+        size = len(clk)
+        if any(len(column) != size for column in (aclk, parent, head, nxt, prv)):
+            return ["columns differ in length"]
+        threads = self._threads
         problems: List[str] = []
-        reachable: Dict[int, TreeClockNode] = {}
-        if self._root is not None:
-            if self._root.parent is not None:
+        reachable: Set[int] = set()
+        root = self._root
+        if root >= 0:
+            if parent[root] >= 0:
                 problems.append("root has a parent")
-            if self._root.aclk is not None:
+            if aclk[root] >= 0:
                 problems.append("root has an attachment clock")
-            stack = [self._root]
+            if nxt[root] >= 0 or prv[root] >= 0:
+                problems.append("root has siblings")
+            stack = [root]
             while stack:
                 node = stack.pop()
-                if node.tid in reachable:
-                    problems.append(f"thread t{node.tid} appears twice in the tree")
+                if node in reachable:
+                    problems.append(f"thread t{threads[node]} appears twice in the tree")
                     continue
-                reachable[node.tid] = node
-                previous_aclk: Optional[int] = None
-                previous_child: Optional[TreeClockNode] = None
-                for child in node.children():
-                    if child.parent is not node:
-                        problems.append(f"child t{child.tid} has wrong parent pointer")
-                    if child.prev_sibling is not previous_child:
-                        problems.append(f"child t{child.tid} has wrong prev_sibling pointer")
-                    if child.aclk is None:
-                        problems.append(f"non-root node t{child.tid} has no attachment clock")
-                    elif previous_aclk is not None and child.aclk > previous_aclk:
+                reachable.add(node)
+                previous = -1
+                child = head[node]
+                for _ in range(size):  # a longer child list must be cyclic
+                    if child < 0:
+                        break
+                    tid = threads[child]
+                    if parent[child] != node:
+                        problems.append(f"child t{tid} has wrong parent pointer")
+                    if prv[child] != previous:
+                        problems.append(f"child t{tid} has wrong prev_sibling pointer")
+                    if aclk[child] < 0:
+                        problems.append(f"non-root node t{tid} has no attachment clock")
+                    elif previous >= 0 and aclk[child] > aclk[previous]:
                         problems.append(
-                            f"children of t{node.tid} are not in descending aclk order"
+                            f"children of t{threads[node]} are not in descending aclk order"
                         )
-                    previous_aclk = child.aclk if child.aclk is not None else previous_aclk
-                    previous_child = child
+                    previous = child
                     stack.append(child)
-        for tid, node in self._nodes.items():
-            if node.tid != tid:
-                problems.append(f"thread map entry {tid} points at node of t{node.tid}")
-        for tid, node in reachable.items():
-            if self._nodes.get(tid) is not node:
-                problems.append(f"reachable node t{tid} is missing from the thread map")
-        for tid in self._nodes:
-            if self._root is not None and tid not in reachable:
-                problems.append(f"thread map entry t{tid} is not reachable from the root")
+                    child = nxt[child]
+                if child >= 0:
+                    problems.append(f"child list of t{threads[node]} is cyclic")
+        for index in range(size):
+            if index in reachable:
+                continue
+            if parent[index] >= 0:
+                problems.append(f"thread map entry t{threads[index]} is not reachable from the root")
+            elif clk[index] or max(aclk[index], head[index], nxt[index], prv[index]) >= 0:
+                problems.append(f"entry t{threads[index]} outside the tree is not reset")
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TreeClock(root={self._root!r}, entries={len(self._nodes)})"
+        return f"TreeClock(root={self.root!r}, entries={self.node_count})"
 
     # -- internal helpers -----------------------------------------------------------------
 
-    @staticmethod
-    def _push_child(child: TreeClockNode, parent: TreeClockNode) -> None:
-        """The paper's ``pushChild``: attach ``child`` at the front of ``parent``'s list."""
-        child.parent = parent
-        child.prev_sibling = None
-        child.next_sibling = parent.first_child
-        if parent.first_child is not None:
-            parent.first_child.prev_sibling = child
-        parent.first_child = child
+    def _link_after(self, child: int, parent: int, last: int) -> None:
+        """Link the unlinked ``child`` under ``parent``, after sibling ``last``.
 
-    def _gather_updated_nodes(
-        self,
-        stack: List[TreeClockNode],
-        other_root: TreeClockNode,
-        old_root_tid: Optional[int],
-    ) -> int:
-        """The paper's ``getUpdatedNodesJoin`` / ``getUpdatedNodesCopy``.
-
-        Performs a pruned pre-order traversal of ``other``'s tree starting
-        at ``other_root`` and fills ``stack`` with the nodes of ``other``
-        whose clock has progressed compared to this clock (children before
-        parents, so that popping yields parents first).  When
-        ``old_root_tid`` is given (the monotone-copy case) the node of
-        that thread is pushed even if it has not progressed, so that the
-        old root gets repositioned under the new one.
-
-        Returns the number of child-node examinations performed — the
-        "light gray" area of Figures 4 and 5, i.e. the quantity that
-        defines ``TCWork``.
+        ``last = -1`` makes ``child`` the first child: the paper's
+        ``pushChild``.
         """
-        examined = 0
-        nodes_get = self._nodes.get
-        stack_push = stack.append
-        # Each frame is (node_of_other, next_child_to_examine), kept as
-        # two parallel reused lists so the hot path allocates nothing.
-        context = self.context
-        fnodes = context.tc_frame_nodes
-        fchildren = context.tc_frame_children
-        fnodes_push = fnodes.append
-        fchildren_push = fchildren.append
-        fnodes_push(other_root)
-        fchildren_push(other_root.first_child)
-        while fnodes:
-            node = fnodes.pop()
-            child = fchildren.pop()
-            descended = False
-            while child is not None:
-                examined += 1
-                local = nodes_get(child.tid)
-                if (0 if local is None else local.clk) < child.clk:
-                    # Progressed: recurse into the child, resume this node later.
-                    fnodes_push(node)
-                    fchildren_push(child.next_sibling)
-                    fnodes_push(child)
-                    fchildren_push(child.first_child)
-                    descended = True
-                    break
-                if old_root_tid is not None and child.tid == old_root_tid:
-                    # Monotone copy: the old root must be repositioned even
-                    # though its clock has not progressed.
-                    stack_push(child)
-                aclk = child.aclk
-                if aclk is not None:
-                    parent_local = nodes_get(node.tid)
-                    if aclk <= (0 if parent_local is None else parent_local.clk):
-                        # Indirect monotonicity: all remaining (older) siblings
-                        # are already known to this clock.
-                        break
-                child = child.next_sibling
-            if not descended:
-                stack_push(node)
-        return examined
+        nxt = self._nxt
+        self._parent[child] = parent
+        self._prv[child] = last
+        if last >= 0:
+            following = nxt[last]
+            nxt[last] = child
+        else:
+            following = self._head[parent]
+            self._head[parent] = child
+        nxt[child] = following
+        if following >= 0:
+            self._prv[following] = child
 
-    def _apply_updated_nodes(self, stack: List[TreeClockNode]) -> int:
-        """The paper's ``detachNodes`` + ``attachNodes``, fused into one sweep.
+    def _walk(self, other: "TreeClock", old_root: int) -> Tuple[int, int]:
+        """The fused ``getUpdatedNodes`` + ``detachNodes`` + ``attachNodes``.
 
-        Pops the updated nodes gathered by :meth:`_gather_updated_nodes`
-        (parents first) and, for each, unlinks its local counterpart from
-        its old position and re-attaches it at the front of its new
-        parent's child list.  Fusing the two passes is safe because the
-        gather stack contains, for every updated node, all of its
-        ancestors on ``other``'s tree path — so a node's new parent has
-        always been re-attached before the node itself is processed —
-        and unlinking only touches the node's own sibling/parent links.
+        Walks ``other``'s tree in pruned pre-order from its root, whose
+        entry here is detached first (the caller places it).  Each
+        progressed child is re-linked under its parent's entry here and
+        descended into; its ``clk`` is written when its subtree is done
+        (rules 1-3 of the module docstring).  When ``old_root`` is given
+        (the monotone-copy case) that entry is re-linked even if it has
+        not progressed, so that the old root gets repositioned under the
+        new one.
 
-        Nodes for previously unknown threads come from the free list
-        when possible.  Returns the number of entries whose clock value
-        actually changed (this operation's contribution to ``VTWork``).
+        Returns ``(processed, updated)``: the root plus the child-node
+        examinations performed — the "light gray" area of Figures 4 and
+        5, i.e. the quantity that defines ``TCWork`` — and the number of
+        entries whose clock value changed (``VTWork``).
         """
-        updated = 0
-        nodes = self._nodes
-        nodes_get = nodes.get
-        free = self.context.tc_free
-        while stack:
-            other_node = stack.pop()
-            tid = other_node.tid
-            local = nodes_get(tid)
-            if local is None:
-                if free:
-                    local = free.pop()
-                    local.tid = tid
-                    local.clk = 0
-                    local.aclk = None
-                else:
-                    local = TreeClockNode(tid)
-                nodes[tid] = local
+        other_clk, other_aclk = other._clk, other._aclk
+        other_head, other_nxt, other_parent = other._head, other._nxt, other._parent
+        clk, aclk, parent = self._clk, self._aclk, self._parent
+        head, nxt, prv = self._head, self._nxt, self._prv
+        top = other._root
+        linked = parent[top]
+        if linked >= 0:
+            # Detach `top` (with its subtree) here; the caller places it.
+            before = prv[top]
+            after = nxt[top]
+            if before >= 0:
+                nxt[before] = after
             else:
-                # Unlink from the old position (inlined sibling removal).
-                parent = local.parent
-                if parent is not None:
-                    previous = local.prev_sibling
-                    following = local.next_sibling
-                    if previous is not None:
-                        previous.next_sibling = following
-                    else:
-                        parent.first_child = following
-                    if following is not None:
-                        following.prev_sibling = previous
-                    local.parent = None
-                    local.prev_sibling = None
-                    local.next_sibling = None
-            if local.clk != other_node.clk:
+                head[linked] = after
+            if after >= 0:
+                prv[after] = before
+            parent[top] = prv[top] = nxt[top] = -1
+        examined = 0
+        updated = 0
+        node = top
+        child = other_head[top]
+        last = -1
+        while True:
+            while child >= 0:
+                examined += 1
+                if clk[child] < other_clk[child]:
+                    # Progressed: re-link after `last` and descend.
+                    aclk[child] = other_aclk[child]
+                    if parent[child] != node or prv[child] != last:
+                        # Unlink, then _link_after, written out: a helper
+                        # call here made sync-scaling walks 12-20% slower
+                        # (CPython 3.11, 2-core Xeon).
+                        linked = parent[child]
+                        if linked >= 0:
+                            before = prv[child]
+                            after = nxt[child]
+                            if before >= 0:
+                                nxt[before] = after
+                            else:
+                                head[linked] = after
+                            if after >= 0:
+                                prv[after] = before
+                        parent[child] = node
+                        prv[child] = last
+                        if last >= 0:
+                            after = nxt[last]
+                            nxt[last] = child
+                        else:
+                            after = head[node]
+                            head[node] = child
+                        nxt[child] = after
+                        if after >= 0:
+                            prv[after] = child
+                    node = child
+                    child = other_head[child]
+                    last = -1
+                    continue
+                if child == old_root:
+                    # Monotone copy: the old root (which has no parent) must
+                    # be repositioned even though its clock has not progressed.
+                    self._link_after(child, node, last)
+                    aclk[child] = other_aclk[child]
+                    if clk[child] != other_clk[child]:
+                        clk[child] = other_clk[child]
+                        updated += 1
+                    last = child
+                if other_aclk[child] <= clk[node]:
+                    # Indirect monotonicity: all remaining (older) siblings
+                    # are already known to this clock.
+                    break
+                child = other_nxt[child]
+            # The subtree of `node` is done: now its clock may change.
+            value = other_clk[node]
+            if clk[node] != value:
+                clk[node] = value
                 updated += 1
-                local.clk = other_node.clk
-            other_parent = other_node.parent
-            if other_parent is not None:
-                local.aclk = other_node.aclk
-                parent_local = nodes[other_parent.tid]
-                # Inlined pushChild (hot path).
-                local.parent = parent_local
-                local.prev_sibling = None
-                head = parent_local.first_child
-                local.next_sibling = head
-                if head is not None:
-                    head.prev_sibling = local
-                parent_local.first_child = local
-        return updated
+            if node == top:
+                return examined + 1, updated
+            last = node
+            child = other_nxt[node]
+            node = other_parent[node]
 
-    def _recycle(self, node: TreeClockNode) -> None:
-        """Clear ``node``'s links and park it on the context's free list.
-
-        The free list is shared by every tree clock of the context —
-        safe, because a parked node carries no references and no clock
-        references it — so nodes dropped by one clock's deep copy are
-        recycled by any clock's later attach.
-        """
-        node.parent = None
-        node.first_child = None
-        node.prev_sibling = None
-        node.next_sibling = None
-        node.aclk = None
-        self.context.tc_free.append(node)
+    def _clear(self) -> None:
+        """Make this clock the empty clock (all-zero vector time)."""
+        size = len(self._clk)
+        self._root = -1
+        self._clk[:] = [0] * size
+        for column in self._columns()[1:]:
+            column[:] = [-1] * size
 
     def _deep_copy_from(self, other: "TreeClock") -> Tuple[int, int]:
-        """Rebuild this clock as an exact structural copy of ``other``.
+        """Make this clock an exact structural copy of ``other``.
 
-        Works in place: this clock's existing nodes are re-used for the
-        threads that survive the copy, nodes of vanished threads are
-        recycled onto the free list, and new threads draw from it —
-        steady-state deep copies allocate nothing.  The traversal is
-        iterative, so degenerate deep trees cannot overflow the Python
-        call stack.  Returns ``(entries_changed, entries_processed)``.
+        Six slice copies, after both clocks' columns are grown to the
+        universe.  Returns ``(processed, updated)``: the nodes of
+        ``other``, and the entries whose clock value differs.
         """
         if other is self:
-            return 0, len(self._nodes)
-        old_nodes = self._nodes
-        free = self.context.tc_free
-        other_root = other._root
-        if other_root is None:
-            # self becomes the all-zero vector time: every node is dropped.
-            changed = 0
-            for node in old_nodes.values():
-                if node.clk:
-                    changed += 1
-                self._recycle(node)
-            self._nodes = {}
-            self._root = None
-            return changed, 0
-        nodes: Dict[int, TreeClockNode] = {}
-        self._nodes = nodes
-        processed = 0
-        changed = 0
-        # Pre-order walk over `other`, pushing children in first-to-last
-        # order; popping reverses them, and attaching each at the front of
-        # its parent's child list restores the original order (attachment
-        # happens at pop time, so interleaving with subtrees is harmless).
-        originals: List[TreeClockNode] = [other_root]
-        parents: List[Optional[TreeClockNode]] = [None]
-        while originals:
-            original = originals.pop()
-            parent_copy = parents.pop()
-            tid = original.tid
-            node = old_nodes.pop(tid, None)
-            if node is None:
-                old_clk = 0
-                if free:
-                    node = free.pop()
-                    node.tid = tid
-                else:
-                    node = TreeClockNode(tid)
-            else:
-                old_clk = node.clk
-            processed += 1
-            if old_clk != original.clk:
-                changed += 1
-            nodes[tid] = node
-            node.clk = original.clk
-            node.aclk = original.aclk
-            node.parent = parent_copy
-            node.first_child = None
-            node.prev_sibling = None
-            if parent_copy is None:
-                node.next_sibling = None
-                self._root = node
-            else:
-                head = parent_copy.first_child
-                node.next_sibling = head
-                if head is not None:
-                    head.prev_sibling = node
-                parent_copy.first_child = node
-            child = original.first_child
-            while child is not None:
-                originals.append(child)
-                parents.append(node)
-                child = child.next_sibling
-        # Threads of the old tree that `other` does not know: recycle.
-        for node in old_nodes.values():
-            if node.clk:
-                changed += 1
-            self._recycle(node)
-        return changed, processed
+            return self.node_count, 0
+        self._grow()
+        other._grow()
+        if self._root < 0:
+            changed = len(other._clk) - other._clk.count(0)
+        else:
+            changed = sum(map(ne, self._clk, other._clk))
+        for mine, theirs in zip(self._columns(), other._columns()):
+            mine[:] = theirs
+        self._root = other._root
+        return other.node_count, changed

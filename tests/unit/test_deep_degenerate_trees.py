@@ -17,7 +17,6 @@ from contextlib import contextmanager
 
 from repro.clocks import ClockContext, TreeClock, VectorClock
 from repro.clocks.render import render_clock, render_tree_clock
-from repro.clocks.tree_clock import TreeClockNode
 
 DEPTH = 3000
 
@@ -36,12 +35,14 @@ def chain_clock(context: ClockContext, depth: int = DEPTH) -> TreeClock:
     """A tree clock whose tree is a single chain of ``depth`` nodes."""
     clock = TreeClock(context, owner=0)
     clock.increment(0)
-    previous = clock.root
+    index_of = context.index_of
+    previous = index_of[0]
     for tid in range(1, depth):
-        node = TreeClockNode(tid, 1, 1)
-        clock._nodes[tid] = node
-        node.parent = previous
-        previous.first_child = node
+        node = index_of[tid]
+        clock._clk[node] = 1
+        clock._aclk[node] = 1
+        clock._parent[node] = previous
+        clock._head[previous] = node
         previous = node
     return clock
 
@@ -84,7 +85,7 @@ def test_deep_copy_and_monotone_copy_of_deep_chain_are_iterative():
         copy.copy_from(clock)
         assert copy.as_dict() == clock.as_dict()
         assert copy.validate_structure() == []
-        # A second deep copy exercises the in-place node-reuse path.
+        # A second deep copy overwrites a non-empty clock.
         copy.copy_from(clock)
         assert copy.as_dict() == clock.as_dict()
         monotone = TreeClock(context, owner=None)

@@ -91,6 +91,16 @@ class TestIncrementalProtocol:
         with pytest.raises(RuntimeError):
             HBAnalysis(TreeClock).finish()
 
+    def test_feed_after_finish_raises(self):
+        trace = mixed_trace()
+        analysis = HBAnalysis(TreeClock)
+        analysis.begin()
+        analysis.finish()
+        with pytest.raises(RuntimeError, match="after finish"):
+            analysis.feed(trace[0])
+        with pytest.raises(RuntimeError, match="after finish"):
+            analysis.feed_batch(list(trace))
+
     def test_run_is_reusable_after_incremental_use(self):
         trace = mixed_trace()
         analysis = HBAnalysis(TreeClock, detect=True)

@@ -57,7 +57,7 @@ class TestGetIncrement:
 
     def test_node_of_returns_thread_map_entry(self):
         clock = TreeClock(make_context(), owner=1)
-        assert clock.node_of(1) is clock.root
+        assert clock.node_of(1) == clock.root
         assert clock.node_of(2) is None
 
 
