@@ -451,6 +451,40 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
     )
 
 
+def _run_ingest_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+    """Corpus ingest throughput of submitted STD text, as ``submit`` runs it.
+
+    The text is rendered outside the timed region; one timed repeat =
+    :meth:`TraceCorpus.ingest_text` of it (block decode, digest, colf
+    write, statistics).  Every
+    repeat after the first dedupes to the stored entry, so the timing
+    is the ingest pipeline without the index write.
+    """
+    import tempfile
+    from pathlib import Path
+
+    from ..serve.corpus import TraceCorpus
+    from ..trace.io import dumps_std
+
+    trace = _scenario_trace(case.params)
+    text = dumps_std(trace)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-ingest-") as tmp:
+        corpus = TraceCorpus(Path(tmp) / "corpus")
+
+        def one_ingest() -> None:
+            corpus.ingest_text(text)
+
+        runs = _timed_runs(one_ingest, config)
+    return BenchCaseResult(
+        name=case.name,
+        kind=case.kind,
+        params=case.params,
+        events=len(trace),
+        runs_ns=runs,
+        meta={"events_per_sec": round(len(trace) / (min(runs) / 1e9), 1)},
+    )
+
+
 def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
     """Multi-spec session walk: ``feed_batch`` (default) vs one event at a time.
 
@@ -538,6 +572,7 @@ _RUNNERS: Dict[str, Callable[[BenchCase, BenchConfig], BenchCaseResult]] = {
     "serve_jobs": _run_serve_jobs_case,
     "serve_ingest": _run_serve_ingest_case,
     "decode": _run_decode_case,
+    "ingest": _run_ingest_case,
     "pipeline_walk": _run_pipeline_walk_case,
 }
 

@@ -33,8 +33,10 @@ Two suites ship by default:
     Event-pipeline benchmarks: decode **events/sec** of the chunked
     file decoders vs the per-event iterators (STD, CSV and the binary
     colf container — plus a ``colf-columns`` case that decodes the
-    structure-of-arrays columns without materializing events), and
-    multi-spec session walks
+    structure-of-arrays columns without materializing events), corpus
+    ingest **events/sec** of submitted STD text (``ingest-std``: decode,
+    digest, colf write and statistics, as a served ``submit`` runs
+    them), and multi-spec session walks
     batched (``feed_batch``, the default) vs fed one event at a time
     vs fed straight from an mmap'd colf container (``colf-mmap``).
     The batched/per-event case pairs share identical workloads, so
@@ -273,7 +275,8 @@ def pipeline_suite(
     specs: Sequence[str] = DEFAULT_SESSION_SPECS,
     seed: int = 0,
 ) -> List[BenchCase]:
-    """The ``pipeline`` suite: chunked decode and batched-vs-per-event walks."""
+    """The ``pipeline`` suite: chunked decode, corpus ingest and
+    batched-vs-per-event walks."""
     spec_list = list(specs)
     threads = int(thread_counts[0]) if thread_counts else 10
     cases: List[BenchCase] = []
@@ -294,6 +297,13 @@ def pipeline_suite(
                     },
                 )
             )
+    cases.append(
+        BenchCase(
+            name="pipeline/ingest-std",
+            kind="ingest",
+            params={"scenario": "single_lock", "threads": threads, "events": events, "seed": seed},
+        )
+    )
     for scenario in scenarios:
         for mode in PIPELINE_WALK_MODES:
             cases.append(

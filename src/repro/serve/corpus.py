@@ -22,9 +22,11 @@ and each entry's stored ``format``.  Version-1 indexes (whose traces
 are gzipped STD under ``<digest>.std.gz``) still load: their entries
 keep ``format: "std.gz"`` and are read through the text decoders.
 
-Ingest is streaming: events flow through a bounded-memory pipeline
-(hash + stats + colf segment writer), so a multi-gigabyte trace file
-never materializes in memory.
+Ingest is streaming and block-granular: events flow through a
+bounded-memory pipeline (hash + stats + colf segment writer) one block
+of events at a time, each block handled as whole columns, so a
+multi-gigabyte trace file never materializes in memory and no step pays
+a Python frame per event.
 """
 
 from __future__ import annotations
@@ -37,13 +39,25 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, replace
+from itertools import chain, compress, islice, repeat
+from operator import is_
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..api.sources import FileSource
-from ..trace.colfmt import ColfWriter
+from ..trace.colfmt import ColfWriter, kind_codes
 from ..trace.event import Event, OpKind
-from ..trace.io import TraceFormatError, infer_format, iter_trace_file, std_line
+from ..trace.io import (
+    TraceFormatError,
+    infer_format,
+    iter_csv_batches,
+    iter_lines,
+    iter_std_batches,
+    iter_trace_chunks,
+    iter_trace_file,
+    std_line,
+    std_op,
+)
 from ..trace.trace import Trace
 
 #: Schema identifier of the corpus index; bumped on breaking layout changes.
@@ -59,8 +73,113 @@ _LEGACY_FORMAT = "std.gz"
 #: Stored-file format of freshly ingested entries.
 _NATIVE_FORMAT = "colf"
 
-#: Event kinds counted as synchronization for the per-trace statistics.
-_SYNC_KINDS = (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.FORK, OpKind.JOIN)
+#: Events per ingest block.  A block's transient fields, columns and
+#: canonical text cost a few hundred bytes per event, so the block size
+#: sets ingest's working set: 1024-event blocks ingest as fast as
+#: 4096-event ones and keep it near the per-event path's.
+_INGEST_BLOCK_EVENTS = 1024
+
+#: Kind codes counted as synchronization for the per-trace statistics.
+_SYNC_CODES = kind_codes((OpKind.ACQUIRE, OpKind.RELEASE, OpKind.FORK, OpKind.JOIN))
+
+
+def _code_mask(*kinds: OpKind) -> bytes:
+    """A ``bytes.translate`` table mapping the codes of ``kinds`` to 1, others to 0."""
+    table = bytearray(256)
+    for code in kind_codes(kinds):
+        table[code] = 1
+    return bytes(table)
+
+
+_LOCK_MASK = _code_mask(OpKind.ACQUIRE, OpKind.RELEASE)
+_ACCESS_MASK = _code_mask(OpKind.READ, OpKind.WRITE)
+
+#: Target types whose equal values render the same STD op text.
+_PLAIN_TARGET_TYPES = (str, int, type(None))
+
+
+class _BlockStats:
+    """The per-trace statistics of the index, accumulated a block at a time."""
+
+    __slots__ = ("events", "sync_events", "threads", "locks", "variables")
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.sync_events = 0
+        self.threads: set = set()
+        self.locks: set = set()
+        self.variables: set = set()
+
+    def add(self, codes: bytes, tids: Sequence[int], targets: Sequence[object]) -> None:
+        self.events += len(codes)
+        self.sync_events += sum(map(codes.count, _SYNC_CODES))
+        self.threads.update(tids)
+        self.locks.update(compress(targets, codes.translate(_LOCK_MASK)))
+        self.variables.update(compress(targets, codes.translate(_ACCESS_MASK)))
+
+
+class _CanonicalText:
+    """The canonical STD lines of event blocks, as :func:`std_line` renders them.
+
+    Thread ids and ``(kind, target)`` pairs repeat throughout a trace, so
+    the ``T<tid>`` and ``|<op>|`` fields are rendered once per distinct
+    value and the lines of a block are joined at C speed.  That is exact
+    when equal values render equally: ``int`` thread ids and ``str`` /
+    ``int`` / ``None`` targets.  Blocks holding other types (``True``
+    equals ``1`` but renders differently) are rendered event by event.
+    """
+
+    __slots__ = ("_tids", "_ops")
+
+    def __init__(self) -> None:
+        self._tids: Dict[int, str] = {}
+        # One dict per kind: target -> "|<op>|".
+        self._ops: Dict[OpKind, Dict[object, str]] = {kind: {} for kind in OpKind}
+
+    def render(
+        self,
+        events: Sequence[Event],
+        eids: Sequence[int],
+        tids: Sequence[int],
+        kinds: Sequence[OpKind],
+        targets: Sequence[object],
+    ) -> str:
+        types = list(map(type, targets))
+        if (
+            sum(map(types.count, _PLAIN_TARGET_TYPES)) != len(types)
+            or list(map(type, tids)).count(int) != len(tids)
+        ):
+            return "".join([std_line(event) + "\n" for event in events])
+        tid_texts = list(map(self._tids.get, tids))
+        if None in tid_texts:
+            for tid in set(tids).difference(self._tids):
+                self._tids[tid] = f"T{tid}"
+            tid_texts = list(map(self._tids.__getitem__, tids))
+        ops_by_kind = self._ops
+        tables = list(map(ops_by_kind.__getitem__, kinds))
+        ops = list(map(dict.get, tables, targets))
+        if None in ops:
+            for kind, target in set(compress(zip(kinds, targets), map(is_, ops, repeat(None)))):
+                ops_by_kind[kind][target] = f"|{std_op(kind, target)}|"
+            ops = list(map(dict.__getitem__, tables, targets))
+        return "".join(
+            chain.from_iterable(zip(tid_texts, ops, map(format, eids), repeat("\n")))
+        )
+
+
+def _ingest_block(
+    events: Sequence[Event],
+    hasher: "hashlib._Hash",
+    canonical: _CanonicalText,
+    writer: ColfWriter,
+    stats: _BlockStats,
+) -> None:
+    """Hash, store and count one block of events, as whole columns."""
+    eids, tids, kinds, targets = zip(*events)
+    codes = kind_codes(kinds)
+    hasher.update(canonical.render(events, eids, tids, kinds, targets).encode("utf-8"))
+    writer.write_columns(codes, tids, targets)
+    stats.add(codes, tids, targets)
 
 
 class CorpusError(ValueError):
@@ -218,50 +337,63 @@ class TraceCorpus:
         """
         if isinstance(source, (str, Path)):
             default_name = Path(source).name
-            events: Iterable[Event] = iter_trace_file(source, fmt=infer_format(source))
+            batches: Iterable[Sequence[Event]] = iter_trace_chunks(
+                source, fmt=infer_format(source), batch_size=_INGEST_BLOCK_EVENTS
+            )
         elif isinstance(source, Trace):
             default_name = source.name or ""
-            events = iter(source)
+            events = source.events
+            batches = (
+                events[start : start + _INGEST_BLOCK_EVENTS]
+                for start in range(0, len(events), _INGEST_BLOCK_EVENTS)
+            )
         else:
             default_name = ""
-            events = source
-        return self._ingest_events(
-            events, name=name if name is not None else default_name, tags=tags, origin=source
+            iterator = iter(source)
+            # Blocks of the event stream until islice comes back empty.
+            batches = iter(lambda: list(islice(iterator, _INGEST_BLOCK_EVENTS)), [])
+        return self._ingest_batches(
+            batches, name=name if name is not None else default_name, tags=tags, origin=source
         )
 
-    def _ingest_events(
+    def ingest_text(
         self,
-        events: Iterable[Event],
+        text: str,
+        fmt: str = "std",
+        name: Optional[str] = None,
+        tags: Sequence[str] = (),
+    ) -> Tuple[CorpusEntry, bool]:
+        """Ingest a trace submitted as STD or CSV text; otherwise exactly
+        :meth:`ingest`.  The text is decoded a block of lines at a time
+        (:func:`~repro.trace.io.iter_lines` into the chunked decoders), so
+        no list of all its lines or events is ever built.
+        """
+        if fmt not in ("std", "csv"):
+            raise ValueError(f"unknown trace text format {fmt!r}; expected 'std' or 'csv'")
+        decode = iter_std_batches if fmt == "std" else iter_csv_batches
+        batches = decode(iter_lines(text), batch_size=_INGEST_BLOCK_EVENTS)
+        return self._ingest_batches(batches, name=name or "", tags=tags)
+
+    def _ingest_batches(
+        self,
+        batches: Iterable[Sequence[Event]],
         name: str,
         tags: Sequence[str],
         origin: object = None,
     ) -> Tuple[CorpusEntry, bool]:
         hasher = hashlib.sha256()
-        num_events = 0
-        sync_events = 0
-        threads: set = set()
-        locks: set = set()
-        variables: set = set()
+        canonical = _CanonicalText()
+        stats = _BlockStats()
         temp_path = self.traces_dir / (
             f".ingest-{os.getpid()}-{threading.get_ident()}-"
             f"{next(self._ingest_counter)}.tmp.colf"
         )
         try:
             with ColfWriter(temp_path) as writer:
-                for event in events:
-                    line = std_line(event)
-                    hasher.update(line.encode("utf-8"))
-                    hasher.update(b"\n")
-                    writer.write(event)
-                    num_events += 1
-                    threads.add(event.tid)
-                    kind = event.kind
-                    if kind in _SYNC_KINDS:
-                        sync_events += 1
-                        if kind in (OpKind.ACQUIRE, OpKind.RELEASE):
-                            locks.add(event.target)
-                    elif kind in (OpKind.READ, OpKind.WRITE):
-                        variables.add(event.target)
+                for batch in batches:
+                    if batch:
+                        _ingest_block(batch, hasher, canonical, writer, stats)
+                    del batch  # free it before the next block is decoded
         except (TraceFormatError, EOFError, zlib.error, OSError) as error:
             temp_path.unlink(missing_ok=True)
             where = f" {origin}" if isinstance(origin, (str, Path)) else ""
@@ -287,11 +419,11 @@ class TraceCorpus:
             entry = CorpusEntry(
                 digest=digest,
                 name=name or digest[:12],
-                events=num_events,
-                threads=len(threads),
-                locks=len(locks),
-                variables=len(variables),
-                sync_events=sync_events,
+                events=stats.events,
+                threads=len(stats.threads),
+                locks=len(stats.locks),
+                variables=len(stats.variables),
+                sync_events=stats.sync_events,
                 tags=tuple(sorted(set(tags))),
                 ingested_unix=time.time(),
             )

@@ -57,7 +57,7 @@ from ..recovery import (
     write_snapshot,
 )
 from ..trace.event import Event
-from ..trace.io import StdParser, TraceFormatError, iter_csv, iter_std, std_line
+from ..trace.io import StdParser, TraceFormatError, std_line
 from .corpus import CorpusError, TraceCorpus
 from .jobs import Scheduler
 from .protocol import (
@@ -286,11 +286,13 @@ class _StreamState:
     def feed_lines(self, lines: Sequence[str]) -> List[Event]:
         """Parse a batch of STD lines and hand them to the walk as one unit.
 
-        The whole batch is parsed first (through the per-stream token
-        cache), enqueued, and then spooled/counted with one write per
-        batch — the walk thread's greedy batch drain sees it as one
-        ``feed_batch``, so protocol messages carrying many lines cost
-        per-batch, not per-event, overhead on the analysis side.
+        The whole batch is parsed first (one
+        :meth:`~repro.trace.io.StdParser.parse_block` call on the
+        per-stream token caches), enqueued, and then spooled/counted
+        with one write per batch — the walk thread's greedy batch drain
+        sees it as one ``feed_batch``, so protocol messages carrying
+        many lines cost per-batch, not per-event, overhead on the
+        analysis side.
         Returns the parsed events (blanks/comments excluded).
 
         Error atomicity is split by error class.  A *malformed line*
@@ -305,15 +307,9 @@ class _StreamState:
         """
         if self._walk_error is not None:
             raise RuntimeError(f"stream analysis failed: {self._walk_error}")
-        parse = self._parser.parse
-        eid = self.events_sent
-        events: List[Event] = []
-        for line in lines:
-            event = parse(line, eid, eid + 1)
-            if event is None:
-                continue
-            events.append(event)
-            eid += 1
+        # Errors number each line by its event ordinal + 1, as they
+        # always have on streams.
+        events = self._parser.parse_block(lines, self.events_sent, None)
         if not events:
             return events
         if self.source is not None:
@@ -602,10 +598,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
         tags = [str(tag) for tag in request.get("tags", [])]
         # Canonicalize the specs first so a typo fails before ingest.
         spec_keys = [coerce_spec(str(spec)).key for spec in specs]
-        parse = iter_std if fmt == "std" else iter_csv
-        entry, created = self.server.corpus.ingest(
-            parse(text.splitlines()), name=name, tags=tags
-        )
+        entry, created = self.server.corpus.ingest_text(text, fmt=fmt, name=name, tags=tags)
         force = bool(request.get("force", False))
         queued, cached, quarantined = self.server.scheduler.submit(
             entry.digest, spec_keys, force=force

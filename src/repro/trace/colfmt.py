@@ -66,11 +66,12 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .event import Event, OpKind
-from .io import TraceFormatError
+from .io import DEFAULT_BATCH_SIZE, TraceFormatError
 
 #: First bytes of every colf file.  The lead byte is non-ASCII so no
 #: text trace can collide, and the trailing newline detects text-mode
@@ -95,6 +96,8 @@ _TRAILER = struct.Struct("<QI8s")
 _SEGMENT_ENTRY = struct.Struct("<QIQQ")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+#: Head of a string pool entry: tag byte + UTF-8 length.
+_STRING_HEAD = struct.Struct("<BI")
 
 #: Stable on-disk op-kind codes (pinned by the format, independent of
 #: :class:`OpKind` declaration order).
@@ -112,6 +115,9 @@ _KINDS_BY_CODE: Tuple[OpKind, ...] = tuple(
     kind for kind, _ in sorted(_KIND_CODES.items(), key=lambda item: item[1])
 )
 
+_FORK_CODE = _KIND_CODES[OpKind.FORK]
+_JOIN_CODE = _KIND_CODES[OpKind.JOIN]
+
 #: Target-pool entry tags.
 _TARGET_NONE = 0
 _TARGET_STRING = 1
@@ -128,6 +134,11 @@ PathOrBinary = Union[str, Path, BinaryIO]
 def is_colf_prefix(prefix: bytes) -> bool:
     """Whether ``prefix`` (the first bytes of a file) starts a colf container."""
     return prefix[: len(COLF_MAGIC)] == COLF_MAGIC
+
+
+def kind_codes(kinds: Iterable[OpKind]) -> bytes:
+    """The on-disk op-kind codes of ``kinds``, one byte each."""
+    return bytes(map(_KIND_CODES.__getitem__, kinds))
 
 
 def _u32_column_bytes(column: "array[int]") -> bytes:
@@ -184,11 +195,13 @@ class ColfWriter:
         self._tids: "array[int]" = array("I")
         self._targets: "array[int]" = array("I")
         # Interned tables.  Pool entry 0 is always the None entry, so
-        # begin/end events can share target index 0.
+        # begin/end events can share target index 0; string targets are
+        # keyed by their text, fork/join targets by their thread id.
         self._threads: List[int] = []
         self._thread_index: Dict[int, int] = {}
         self._pool_entries: List[bytes] = [bytes([_TARGET_NONE])]
-        self._pool_index: Dict[object, int] = {}
+        self._string_slots: Dict[object, int] = {None: 0}
+        self._thread_target_slots: Dict[int, int] = {}
         # (byte offset, event count, first ordinal) per flushed segment.
         self._segments: List[Tuple[int, int, int]] = []
 
@@ -210,25 +223,64 @@ class ColfWriter:
         if target is None:
             return 0
         if kind is OpKind.FORK or kind is OpKind.JOIN:
-            key: object = ("t", int(target))
-            slot = self._pool_index.get(key)
+            tid = int(target)
+            slot = self._thread_target_slots.get(tid)
             if slot is None:
                 slot = len(self._pool_entries)
                 self._pool_entries.append(
-                    bytes([_TARGET_THREAD]) + _U32.pack(self._thread_slot(int(target)))
+                    bytes([_TARGET_THREAD]) + _U32.pack(self._thread_slot(tid))
                 )
-                self._pool_index[key] = slot
+                self._thread_target_slots[tid] = slot
             return slot
         text = target if isinstance(target, str) else str(target)
-        slot = self._pool_index.get(text)
+        slot = self._string_slots.get(text)
         if slot is None:
             slot = len(self._pool_entries)
             encoded = text.encode("utf-8")
             self._pool_entries.append(
                 bytes([_TARGET_STRING]) + _U32.pack(len(encoded)) + encoded
             )
-            self._pool_index[text] = slot
+            self._string_slots[text] = slot
         return slot
+
+    def _block_slots(
+        self, codes: bytes, tids: Sequence[int], targets: Sequence[object]
+    ) -> Tuple[List[int], List[int]]:
+        """Thread and target slots of a block of events, adding the block's
+        new table entries in exactly the order :meth:`write` would."""
+        thread_index = self._thread_index
+        string_slots = self._string_slots
+        tid_slots = list(map(thread_index.get, tids))
+        target_slots = list(map(string_slots.get, targets))
+        if _FORK_CODE not in codes and _JOIN_CODE not in codes:
+            if None not in tid_slots and None not in target_slots:
+                return tid_slots, target_slots
+            types = list(map(type, targets))
+            if types.count(str) + types.count(type(None)) == len(types):
+                # write() adds a thread or a string at its first
+                # occurrence, and nothing else adds entries here.
+                for tid in dict.fromkeys(tids):
+                    if tid not in thread_index:
+                        self._thread_slot(tid)
+                self._add_strings([t for t in dict.fromkeys(targets) if t not in string_slots])
+                return (
+                    list(map(thread_index.__getitem__, tids)),
+                    list(map(string_slots.__getitem__, targets)),
+                )
+        # Fork/join targets add threads mid-event, and other target types
+        # are keyed by str(target): replay write()'s lookups event by event.
+        for at, code in enumerate(codes):
+            tid_slots[at] = self._thread_slot(tids[at])
+            target_slots[at] = self._target_slot(_KINDS_BY_CODE[code], targets[at])
+        return tid_slots, target_slots
+
+    def _add_strings(self, texts: List[str]) -> None:
+        """Append string pool entries for ``texts`` (all new), in order."""
+        encoded = list(map(str.encode, texts))
+        first = len(self._pool_entries)
+        heads = map(_STRING_HEAD.pack, repeat(_TARGET_STRING), map(len, encoded))
+        self._pool_entries.extend(map(bytes.__add__, heads, encoded))
+        self._string_slots.update(zip(texts, range(first, first + len(texts))))
 
     # -- the event surface -----------------------------------------------------------
 
@@ -244,9 +296,43 @@ class ColfWriter:
             self._flush_segment()
 
     def write_batch(self, events: Iterable[Event]) -> None:
-        """Append a batch of events (the bulk counterpart of :meth:`write`)."""
-        for event in events:
-            self.write(event)
+        """Append a batch of events: the bulk counterpart of :meth:`write`.
+
+        The file bytes are identical to one :meth:`write` per event.
+        Events are taken a block at a time and go in through
+        :meth:`write_columns`.
+        """
+        iterator = iter(events)
+        while True:
+            block = list(islice(iterator, DEFAULT_BATCH_SIZE))
+            if not block:
+                return
+            _, tids, kinds, targets = zip(*block)
+            self.write_columns(kind_codes(kinds), tids, targets)
+
+    def write_columns(
+        self, codes: bytes, tids: Sequence[int], targets: Sequence[object]
+    ) -> None:
+        """Append events given as columns: kind codes (:func:`kind_codes`),
+        thread ids and targets, all of one length.
+
+        The file bytes are identical to one :meth:`write` per event:
+        thread and pool slots are assigned in the same order.
+        """
+        if self._closed:
+            raise ValueError("cannot write() to a closed ColfWriter")
+        tid_slots, target_slots = self._block_slots(codes, tids, targets)
+        count = len(codes)
+        start = 0
+        while start < count:
+            stop = min(count, start + self.segment_events - len(self._kinds))
+            self._kinds += codes[start:stop]
+            self._tids.extend(tid_slots[start:stop])
+            self._targets.extend(target_slots[start:stop])
+            self.events_written += stop - start
+            start = stop
+            if len(self._kinds) >= self.segment_events:
+                self._flush_segment()
 
     def _flush_segment(self) -> None:
         count = len(self._kinds)
@@ -572,7 +658,7 @@ class ColfReader:
 
     def _materialize(self, segment: ColfSegment) -> List[Event]:
         """Decode one segment into events: three C-speed column passes
-        plus a ``map(Event, ...)`` construction loop."""
+        plus a C-level construction loop (see :class:`Event`)."""
         offset, count = segment.offset, segment.count
         data = self._data
         kind_objects = self._kind_objects
@@ -612,7 +698,8 @@ class ColfReader:
                 f"entries) at byte offset {offset + 5 * count + 4 * bad}"
             )
         first = segment.first_eid
-        return list(map(Event, range(first, first + count), tids, kinds, targets))
+        eids = range(first, first + count)
+        return list(map(tuple.__new__, repeat(Event), zip(eids, tids, kinds, targets)))
 
     def iter_batches(self, batch_size: Optional[int] = None) -> Iterator[List[Event]]:
         """Decode the trace as event batches.

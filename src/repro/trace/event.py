@@ -28,6 +28,13 @@ class OpKind(enum.Enum):
     BEGIN = "begin"
     END = "end"
 
+    # ``Enum.__hash__`` is a Python-level ``hash(self._name_)``, paid on
+    # every dict lookup keyed by a kind (the engine's per-event dispatch,
+    # the colf kind codes).  Members are singletons and equality is
+    # identity, so the C-level identity hash is equivalent — and it stays
+    # valid across pickling, which returns the same member object.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
@@ -70,8 +77,10 @@ class Event(NamedTuple):
     path (millions of events flow through the batched pipeline per
     walk), and tuple construction costs roughly half of what a frozen
     dataclass ``__init__`` (four ``object.__setattr__`` calls) does.
-    The bulk decoders build events with ``map(Event, ...)`` over column
-    iterables, which keeps the whole construction loop in C.
+    ``Event(...)`` still runs the generated Python ``__new__`` once per
+    event, so the bulk decoders skip it and build events with
+    ``map(tuple.__new__, repeat(Event), zip(eids, tids, kinds, targets))``:
+    the same ``Event`` instances, with the whole construction loop in C.
 
     Attributes
     ----------

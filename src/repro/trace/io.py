@@ -52,8 +52,10 @@ import gzip
 import io
 import re
 import sys
+from itertools import chain, compress, islice, repeat
+from operator import is_, itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .event import Event, OpKind
 from .trace import Trace
@@ -87,17 +89,23 @@ _STD_LINE = re.compile(
 
 PathOrFile = Union[str, Path, TextIO]
 
+#: Characters per chunk of :func:`iter_lines`.
+_LINE_CHUNK_CHARS = 1 << 16
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+
 
 class TraceFormatError(ValueError):
     """Raised when parsing a malformed trace file."""
 
 
-def _target_to_text(event: Event) -> str:
-    if event.target is None:
+def _target_to_text(kind: OpKind, target: object) -> str:
+    if target is None:
         return ""
-    if event.kind in (OpKind.FORK, OpKind.JOIN):
-        return f"T{event.target}"
-    return str(event.target)
+    if kind in (OpKind.FORK, OpKind.JOIN):
+        return f"T{target}"
+    return str(target)
 
 
 def _parse_target(kind: OpKind, text: Optional[str], line_number: int) -> Optional[object]:
@@ -119,6 +127,14 @@ def _parse_target(kind: OpKind, text: Optional[str], line_number: int) -> Option
 # -- STD format -----------------------------------------------------------------
 
 
+def std_op(kind: OpKind, target: object) -> str:
+    """The op field of an STD line (:func:`std_line`): ``w(x)``,
+    ``fork(T2)``, ``begin``."""
+    op = _STD_KIND_NAMES[kind]
+    text = _target_to_text(kind, target)
+    return f"{op}({text})" if text else op
+
+
 def std_line(event: Event) -> str:
     """One event rendered as a single STD-format line (no newline).
 
@@ -127,11 +143,27 @@ def std_line(event: Event) -> str:
     logical trace produces the same digest whether it arrived as STD,
     CSV, gzipped or in memory.
     """
-    op = _STD_KIND_NAMES[event.kind]
-    target = _target_to_text(event)
-    if target:
-        return f"T{event.tid}|{op}({target})|{event.eid}"
-    return f"T{event.tid}|{op}|{event.eid}"
+    return f"T{event.tid}|{std_op(event.kind, event.target)}|{event.eid}"
+
+
+def iter_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
+    split about :data:`_LINE_CHUNK_CHARS` characters at a time.
+
+    Only one chunk's lines exist at once, so decoding a large submitted
+    text does not first build a list of all of its lines.  Chunks end
+    right after a ``"\n"``, which no line break spans.
+    """
+
+    def chunks() -> Iterator[str]:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _LINE_CHUNK_CHARS)
+            end = len(text) if end == -1 else end + 1
+            yield text[start:end]
+            start = end
+
+    return chain.from_iterable(map(str.splitlines, chunks()))
 
 
 def dumps_std(trace: Trace) -> str:
@@ -180,6 +212,11 @@ class StdParser:
     falls back to :func:`parse_std_line`, whose regex path defines the
     format (and raises the canonical :class:`TraceFormatError`s), so
     the parser accepts and rejects exactly the same lines.
+
+    :meth:`parse_block` is the bulk entry: it decodes a whole block of
+    canonical lines with a few C-level passes (strip, split, cache
+    lookups, event construction) and falls back to :meth:`parse`, line
+    by line, for any block that holds a line of another shape.
     """
 
     __slots__ = ("_tid_cache", "_op_cache")
@@ -202,10 +239,7 @@ class StdParser:
                 return parse_std_line(raw_line, eid, line_number)
             tid = self._tid_cache.get(parts[0])
             if tid is None:
-                token = parts[0].strip()
-                if len(token) > 1 and token[0] == "T" and token[1:].isdecimal():
-                    tid = int(token[1:])
-                    self._tid_cache[parts[0]] = tid
+                tid = self._parse_tid_token(parts[0])
             if tid is not None:
                 cached = self._op_cache.get(parts[1])
                 if cached is None:
@@ -213,6 +247,94 @@ class StdParser:
                 if cached is not None:
                     return Event(eid=eid, tid=tid, kind=cached[0], target=cached[1])
         return parse_std_line(raw_line, eid, line_number)
+
+    def parse_block(
+        self,
+        lines: Sequence[str],
+        first_eid: int = 0,
+        first_line_number: Optional[int] = 1,
+    ) -> List[Event]:
+        """Parse a block of lines into events, numbered from ``first_eid``.
+
+        Returns exactly what calling :meth:`parse` on each line would
+        (blanks and comments skipped, same events, same
+        :class:`TraceFormatError` for the first malformed line).  Error
+        messages number the lines from ``first_line_number``; with
+        ``None`` each line is numbered by the ordinal its event would
+        get, plus one — the streaming protocol's convention.
+        """
+        columns = self._canonical_columns(lines)
+        if columns is not None:
+            tids, ops = columns
+            eids = range(first_eid, first_eid + len(tids))
+            kinds, targets = map(_FIRST, ops), map(_SECOND, ops)
+            return list(map(tuple.__new__, repeat(Event), zip(eids, tids, kinds, targets)))
+        parse = self.parse
+        events = []
+        eid = first_eid
+        for offset, raw_line in enumerate(lines):
+            number = eid + 1 if first_line_number is None else first_line_number + offset
+            event = parse(raw_line, eid, number)
+            if event is not None:
+                events.append(event)
+                eid += 1
+        return events
+
+    def _canonical_columns(
+        self, lines: Sequence[str]
+    ) -> Optional[Tuple[List[int], List[Tuple[OpKind, Optional[object]]]]]:
+        """The block fast path: tids and ``(kind, target)`` pairs of a block
+        of canonical ``tid|op|location`` lines, or ``None``.
+
+        It takes the same steps :meth:`parse` takes on such a line — a
+        stripped line of exactly three ``|`` fields, a one-token location,
+        a tid token and an op token resolved through the caches — but
+        one C-level pass per step over the whole block.  Any line that
+        would leave that path in :meth:`parse` makes it return ``None``.
+        The split fields die with this frame, before events are built.
+        """
+        count = len(lines)
+        if not count:
+            return [], []
+        # Joined by "\n|", a line ends in a field that ends in "\n".  If
+        # there are 3 fields per line overall and the n-1 newlines all sit
+        # in every third field, each line has exactly three fields.
+        joined = "\n|".join(map(str.strip, lines))
+        fields = joined.split("|")
+        if len(fields) != 3 * count or joined.count("\n") != count - 1:
+            return None
+        locations = fields[2::3]
+        tail = "".join(locations)
+        if (
+            tail.count("\n") != count - 1
+            or "\n" in locations
+            or not locations[-1]
+            or len(tail.split()) != count
+        ):
+            return None  # a line is not three fields, or a location is not one token
+        tid_tokens = fields[0::3]
+        tids = list(map(self._tid_cache.get, tid_tokens))
+        if None in tids:
+            for token in dict.fromkeys(compress(tid_tokens, map(is_, tids, repeat(None)))):
+                if self._parse_tid_token(token) is None:
+                    return None
+            tids = list(map(self._tid_cache.__getitem__, tid_tokens))
+        op_tokens = fields[1::3]
+        ops = list(map(self._op_cache.get, op_tokens))
+        if None in ops:
+            for token in dict.fromkeys(compress(op_tokens, map(is_, ops, repeat(None)))):
+                if self._parse_op_token(token) is None:
+                    return None
+            ops = list(map(self._op_cache.__getitem__, op_tokens))
+        return tids, ops
+
+    def _parse_tid_token(self, tid_token: str) -> Optional[int]:
+        """Parse + cache one ``T<digits>`` tid token; ``None`` defers to the regex."""
+        token = tid_token.strip()
+        if len(token) > 1 and token[0] == "T" and token[1:].isdecimal():
+            tid = self._tid_cache[tid_token] = int(token[1:])
+            return tid
+        return None
 
     def _parse_op_token(self, op_token: str) -> Optional[Tuple[OpKind, Optional[object]]]:
         """Parse + cache one canonical op token; ``None`` defers to the regex."""
@@ -274,32 +396,41 @@ def iter_std_batches(
     """Chunked STD decoding: lists of up to ``batch_size`` events at a time.
 
     The bulk counterpart of :func:`iter_std` — same events, same
-    consecutive ``eid``s, same errors — but without a per-event
-    generator resumption, which makes it the decode path of the batched
-    pipeline (``FileSource.event_batches``, the serve workers).  The
-    final batch may be shorter; an empty input yields no batches.
+    consecutive ``eid``s, same errors — and the decode path of the
+    batched pipeline (``FileSource.event_batches``, corpus ingest, the
+    serve workers).  Lines are read ``batch_size`` at a time and decoded
+    by :meth:`StdParser.parse_block`, so a block of canonical lines
+    never runs a Python frame per line.  A malformed line raises while
+    its block is decoded, before any event of that block is yielded.
+    The final batch may be shorter; an empty input yields no batches.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    parser = StdParser()
-    parse = parser.parse
-    batch: List[Event] = []
-    append = batch.append
+    parse_block = StdParser().parse_block
+    lines = iter(lines)
+    pending: List[Event] = []
     eid = 0
-    line_number = 0
-    for raw_line in lines:
-        line_number += 1
-        event = parse(raw_line, eid, line_number)
-        if event is None:
+    line_number = 1
+    while True:
+        block = list(islice(lines, batch_size))
+        if not block:
+            break
+        events = parse_block(block, eid, line_number)
+        line_number += len(block)
+        eid += len(events)
+        del block
+        if not pending and len(events) == batch_size:
+            yield events
+            del events  # the consumer's block: hold no second one while decoding
             continue
-        append(event)
-        eid += 1
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
+        # Blank or comment lines made the block short: re-cut so every
+        # batch but the last holds exactly ``batch_size`` events.
+        pending += events
+        while len(pending) >= batch_size:
+            yield pending[:batch_size]
+            pending = pending[batch_size:]
+    if pending:
+        yield pending
 
 
 def loads_std(text: str, name: str = "") -> Trace:
@@ -316,7 +447,8 @@ def dumps_csv(trace: Trace) -> str:
     writer = csv.writer(buffer)
     writer.writerow(["eid", "tid", "kind", "target"])
     for event in trace:
-        writer.writerow([event.eid, event.tid, _STD_KIND_NAMES[event.kind], _target_to_text(event)])
+        target = _target_to_text(event.kind, event.target)
+        writer.writerow([event.eid, event.tid, _STD_KIND_NAMES[event.kind], target])
     return buffer.getvalue()
 
 

@@ -1,14 +1,16 @@
 """Differential fuzzing: optimized TreeClock ≡ VectorClock ≡ dict model.
 
-The tree-clock hot path is aggressively optimized (fused detach/attach,
-node free-list recycling, reused traversal scratch lists, in-place deep
-copies).  None of that may ever be observable: after *every* mutation a
-tree clock must represent exactly the vector time the plain vector clock
-and the reference dictionary model compute, and its structural
-invariants (:meth:`TreeClock.validate_structure`) must hold.  Checking
-after every single mutation — not just at the end — is what catches
-free-list reuse bugs: a recycled node with a stale link corrupts the
-tree long before it changes the final vector time.
+The tree-clock hot path is aggressively optimized (flat int columns
+indexed by thread, one fused stackless walk per join/copy that detaches
+and re-attaches in place, slice-copy deep copies).  None of that may
+ever be observable: after *every* mutation a tree clock must represent
+exactly the vector time the plain vector clock and the reference
+dictionary model compute, and its structural invariants
+(:meth:`TreeClock.validate_structure`) must hold.  Checking after every
+single mutation — not just at the end — is what catches stale-link
+bugs: a ``parent``/``nxt``/``prv`` column entry left pointing at a
+detached node corrupts the tree long before it changes the final vector
+time.
 
 Two granularities:
 

@@ -113,6 +113,14 @@ class TestRunnerAndArtifact:
             assert len(series) == 2  # warmup walks are trimmed
         assert result.events == 60
 
+    def test_run_case_ingest_std(self):
+        (case,) = [case for case in suite_cases("pipeline", events=60) if case.kind == "ingest"]
+        assert case.name == "pipeline/ingest-std"
+        result = run_case(case, BenchConfig(warmup=1, repeats=2))
+        assert result.events == 60
+        assert len(result.runs_ns) == 2
+        assert result.meta["events_per_sec"] > 0
+
     def test_artifact_roundtrip_and_validation(self, tmp_path):
         config = BenchConfig(warmup=0, repeats=1)
         results = [run_case(case, config) for case in suite_cases("clocks", events=60)[:2]]

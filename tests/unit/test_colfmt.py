@@ -23,8 +23,11 @@ import io
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import event as ev
+from repro.trace.event import Event, OpKind
 from repro.trace.colfmt import (
     COLF_MAGIC,
     COLF_VERSION,
@@ -129,6 +132,43 @@ class TestRoundTrip:
         many = io.BytesIO()
         with ColfWriter(many) as writer:
             writer.write_batch(events)
+        assert one.getvalue() == many.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from([OpKind.FORK, OpKind.JOIN]),
+                    st.sampled_from([0, 1, 2, 7, 12]),
+                    st.sampled_from([1, 5, 9, 13, 5.0, True, "5"]),
+                ),
+                st.tuples(
+                    st.sampled_from(list(OpKind)),
+                    st.sampled_from([0, 1, 2, 7, 12, True]),
+                    st.sampled_from(["x", "y", "l", "5", "", None, 1, True, 1.0, ("t", 5)]),
+                ).filter(lambda cell: cell[0] not in (OpKind.FORK, OpKind.JOIN)),
+            ),
+            max_size=80,
+        ),
+        cuts=st.lists(st.integers(1, 30), max_size=10),
+        segment_events=st.sampled_from([1, 3, 16, 65536]),
+    )
+    def test_write_batch_bulk_path_equals_write(self, cells, cuts, segment_events):
+        # Fork/join targets that name new threads, strings first seen
+        # mid-block, and values keyed by str() (1 vs True vs 1.0): the
+        # bulk slot assignment must build the same tables as write().
+        events = [Event(eid, tid, kind, target) for eid, (kind, tid, target) in enumerate(cells)]
+        one = io.BytesIO()
+        with ColfWriter(one, segment_events=segment_events) as writer:
+            for event in events:
+                writer.write(event)
+        many = io.BytesIO()
+        with ColfWriter(many, segment_events=segment_events) as writer:
+            start = 0
+            for cut in cuts + [len(events)]:
+                writer.write_batch(events[start : start + cut])
+                start += cut
         assert one.getvalue() == many.getvalue()
 
     def test_describe_payload(self):

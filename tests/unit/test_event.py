@@ -1,5 +1,11 @@
 """Unit tests for the event model (:mod:`repro.trace.event`)."""
 
+import os
+import pickle
+import subprocess
+import sys
+from itertools import repeat
+
 import pytest
 
 from repro.trace import event as ev
@@ -54,6 +60,44 @@ class TestConstructors:
 
     def test_explicit_eid(self):
         assert ev.read(1, "x", eid=42).eid == 42
+
+
+class TestKindHashing:
+    def test_kind_hash_is_the_identity_hash(self):
+        for kind in OpKind:
+            assert hash(kind) == object.__hash__(kind)
+
+    def test_kinds_stay_dict_keys_after_a_pickle_round_trip(self):
+        table = {kind: kind.value for kind in OpKind}
+        for kind in OpKind:
+            restored = pickle.loads(pickle.dumps(kind))
+            assert restored is kind
+            assert table[restored] == kind.value
+        event = pickle.loads(pickle.dumps(ev.write(1, "x", eid=0)))
+        assert {OpKind.WRITE: "hit"}[event.kind] == "hit"
+
+    def test_kind_keyed_tables_survive_a_process_boundary(self):
+        # Serve workers get events and kind-keyed state pickled from
+        # another process, where every member has another identity hash.
+        payload = pickle.dumps(({kind: kind.value for kind in OpKind}, list(OpKind)))
+        script = (
+            "import pickle, sys\n"
+            "table, kinds = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert all(table[kind] == kind.value for kind in kinds)\n"
+            "from repro.trace.event import OpKind\n"
+            "assert all(table[kind] == kind.value for kind in OpKind)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script], input=payload, env=env, check=True)
+
+
+class TestBulkConstruction:
+    def test_tuple_new_builds_real_events(self):
+        rows = [(0, 1, OpKind.WRITE, "x"), (1, 2, OpKind.FORK, 3)]
+        events = list(map(tuple.__new__, repeat(Event), rows))
+        assert events == [Event(*row) for row in rows]
+        assert all(type(event) is Event for event in events)
+        assert events[1].other_thread == 3
 
 
 class TestClassification:

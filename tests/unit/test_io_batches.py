@@ -4,6 +4,7 @@ import gzip
 
 import pytest
 
+import repro.trace.io as trace_io
 from repro.trace import Trace, TraceBuilder
 from repro.trace import event as ev
 from repro.trace.io import (
@@ -15,6 +16,7 @@ from repro.trace.io import (
     dumps_std,
     iter_csv,
     iter_csv_batches,
+    iter_lines,
     iter_std,
     iter_std_batches,
     iter_trace_chunks,
@@ -86,6 +88,18 @@ class TestStdParser:
             parser.parse("T1|w()", 0, 1)
         with pytest.raises(TraceFormatError, match="line 9"):
             parser.parse("T1|w()", 0, 9)
+
+
+class TestIterLines:
+    @pytest.mark.parametrize("chunk_chars", [1, 2, 5, 1 << 16])
+    def test_matches_splitlines(self, monkeypatch, chunk_chars):
+        monkeypatch.setattr(trace_io, "_LINE_CHUNK_CHARS", chunk_chars)
+        text = "T1|w(x)|0\r\nT2|r(x)|1\n\n# c\rT3|w(y)|2\x0bT4|w(z)|3\u2028tail"
+        assert list(iter_lines(text)) == text.splitlines()
+        assert list(iter_lines(text + "\n")) == (text + "\n").splitlines()
+
+    def test_empty_text(self):
+        assert list(iter_lines("")) == []
 
 
 class TestStdBatches:

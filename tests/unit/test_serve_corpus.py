@@ -1,11 +1,24 @@
 """Unit tests for the content-addressed trace corpus (:mod:`repro.serve.corpus`)."""
 
+import hashlib
+import io
 import json
 
 import pytest
 
 from repro.trace import Trace, TraceBuilder
-from repro.trace.io import save_trace
+from repro.trace import event as ev
+from repro.trace.colfmt import ColfWriter, write_colf
+from repro.trace.event import Event, OpKind
+from repro.trace.io import (
+    dumps_csv,
+    dumps_std,
+    iter_csv,
+    iter_std,
+    save_trace,
+    std_line,
+)
+from repro.serve import corpus as corpus_module
 from repro.serve.corpus import INDEX_SCHEMA, CorpusError, TraceCorpus
 
 
@@ -90,6 +103,148 @@ class TestContentAddressing:
         second, _ = corpus.ingest(other)
         assert first.digest != second.digest
         assert len(corpus) == 2
+
+
+def per_event_ingest(events):
+    """The per-event ingest the batch path must equal: digest, colf bytes, stats."""
+    hasher = hashlib.sha256()
+    buffer = io.BytesIO()
+    threads, locks, variables = set(), set(), set()
+    count = sync = 0
+    writer = ColfWriter(buffer)
+    for event in events:
+        hasher.update(std_line(event).encode("utf-8"))
+        hasher.update(b"\n")
+        writer.write(event)
+        count += 1
+        threads.add(event.tid)
+        if event.kind in (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.FORK, OpKind.JOIN):
+            sync += 1
+            if event.kind in (OpKind.ACQUIRE, OpKind.RELEASE):
+                locks.add(event.target)
+        elif event.kind in (OpKind.READ, OpKind.WRITE):
+            variables.add(event.target)
+    writer.close()
+    stats = (count, len(threads), len(locks), len(variables), sync)
+    return hasher.hexdigest(), buffer.getvalue(), stats
+
+
+def entry_outcome(corpus, entry):
+    stats = (entry.events, entry.threads, entry.locks, entry.variables, entry.sync_events)
+    return entry.digest, corpus.trace_path(entry.digest).read_bytes(), stats
+
+
+@pytest.fixture(scope="module")
+def fork_join_trace() -> Trace:
+    """Two blocks and more: threads first seen as fork targets in both
+    blocks (each forked before an earlier-acting thread, so fork order and
+    first-action order disagree), begin/end markers, and variables new in
+    the second block."""
+    builder = TraceBuilder(name="fork-join-blocks")
+    builder.append(ev.begin(0)).fork(0, 2).fork(0, 1)
+    for index in range(6000):
+        if index == 4500:
+            builder.fork(2, 9).fork(1, 7).write(7, "late").append(ev.begin(9))
+        tid = (0, 1, 2, 7, 9)[index % (5 if index > 4500 else 3)]
+        if index % 11 == 0:
+            builder.acquire(tid, f"l{index % 3}").release(tid, f"l{index % 3}")
+        elif index % 2:
+            builder.read(tid, f"x{index % 97}")
+        else:
+            builder.write(tid, f"v{index % 4001}")
+    builder.append(ev.end(9)).join(2, 9).join(1, 7).join(0, 2).join(0, 1).append(ev.end(0))
+    return builder.build()
+
+
+@pytest.fixture(scope="module")
+def fork_free_trace() -> Trace:
+    """Two blocks without fork/join: threads and variables first seen out
+    of sorted order, and new ones of both first seen in the second block."""
+    builder = TraceBuilder(name="fork-free-blocks")
+    for index in range(6000):
+        tids = (9, 4, 6) if index < 5000 else (9, 12, 4, 2, 6)
+        tid = tids[index % len(tids)]
+        variable = f"v{(index * 7919) % (300 if index < 5000 else 900)}"
+        if index % 13 == 0:
+            builder.acquire(tid, "lk").release(tid, "lk")
+        elif index % 2:
+            builder.read(tid, variable)
+        else:
+            builder.write(tid, variable)
+    return builder.build()
+
+
+class TestBatchIngestExactness:
+    """Block-at-a-time ingest ≡ the per-event reference, on every source."""
+
+    def test_fork_free_std_text(self, tmp_path, fork_free_trace):
+        text = dumps_std(fork_free_trace)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest_text(text)
+        assert entry_outcome(corpus, entry) == per_event_ingest(iter_std(text.splitlines()))
+
+    def test_std_text(self, tmp_path, fork_join_trace):
+        text = dumps_std(fork_join_trace)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest_text(text)
+        assert entry_outcome(corpus, entry) == per_event_ingest(iter_std(text.splitlines()))
+
+    def test_csv_text(self, tmp_path, fork_join_trace):
+        text = dumps_csv(fork_join_trace)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest_text(text, fmt="csv")
+        assert entry_outcome(corpus, entry) == per_event_ingest(iter_csv(text.splitlines()))
+
+    def test_trace(self, tmp_path, fork_join_trace):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest(fork_join_trace)
+        assert entry_outcome(corpus, entry) == per_event_ingest(fork_join_trace)
+
+    def test_colf_path(self, tmp_path, fork_join_trace):
+        path = tmp_path / "t.colf"
+        write_colf(iter(fork_join_trace), path, segment_events=1000)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest(path)
+        assert entry_outcome(corpus, entry) == per_event_ingest(fork_join_trace)
+
+    def test_ingest_text_rejects_unknown_formats(self, tmp_path):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        with pytest.raises(ValueError, match="unknown trace text format 'colf'"):
+            corpus.ingest_text("T1|w(x)|0\n", fmt="colf")
+        assert len(corpus) == 0
+
+    def test_unusual_value_types_take_the_per_event_path(self, tmp_path):
+        # Equal but differently rendered values (1, True, 1.0) and targets
+        # keyed by str(): the caches must not merge them.
+        events = [
+            Event(0, 1, OpKind.WRITE, 1),
+            Event(1, 1, OpKind.WRITE, True),
+            Event(2, True, OpKind.READ, "1"),
+            Event(3, 2, OpKind.FORK, 5.0),
+            Event(4, 1, OpKind.JOIN, 5),
+            Event(5, 1, OpKind.ACQUIRE, ("t", 5)),
+            Event(6, 1, OpKind.RELEASE, ("t", 5)),
+            Event(7, 5, OpKind.END, None),
+        ]
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest(iter(events))
+        assert entry_outcome(corpus, entry) == per_event_ingest(events)
+
+    def test_malformed_line_in_second_block_rejects_cleanly(self, tmp_path, fork_join_trace):
+        lines = dumps_std(fork_join_trace).splitlines()
+        bad = corpus_module._INGEST_BLOCK_EVENTS + 50
+        lines[bad] = "not a trace line"
+        corpus = TraceCorpus(tmp_path / "corpus")
+        message = (
+            f"cannot ingest trace: TraceFormatError: line {bad + 1}: "
+            "cannot parse 'not a trace line'"
+        )
+        with pytest.raises(CorpusError) as raised:
+            corpus.ingest_text("\n".join(lines))
+        assert str(raised.value) == message
+        assert list(corpus.traces_dir.iterdir()) == []
+        assert len(corpus) == 0
+        assert not corpus.index_path.exists()
 
 
 class TestEdgeCases:
