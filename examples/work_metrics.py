@@ -14,7 +14,7 @@ Run with::
 
 import argparse
 
-from repro.analysis import analysis_class_by_name
+from repro.api import order_class
 from repro.gen import default_suite
 from repro.metrics import TC_OPTIMALITY_FACTOR, measure_work
 
@@ -26,7 +26,7 @@ def main() -> None:
     parser.add_argument("--max-profiles", type=int, default=12, help="number of suite traces")
     args = parser.parse_args()
 
-    analysis_class = analysis_class_by_name(args.order)
+    analysis_class = order_class(args.order)
     profiles = default_suite(scale=args.scale, max_profiles=args.max_profiles)
 
     header = (

@@ -121,7 +121,6 @@ from .api import (
     EventSource,
     FileSource,
     GeneratorSource,
-    QueueSource,
     Session,
     SessionResult,
     TraceSource,
@@ -167,7 +166,6 @@ __all__ = [
     "HBAnalysis",
     "MAZAnalysis",
     "OpKind",
-    "QueueSource",
     "Race",
     "SHBAnalysis",
     "Session",

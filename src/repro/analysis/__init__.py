@@ -8,8 +8,8 @@ still works and remains the right tool for one-off runs, but the
 through :mod:`repro.api` — ``parse_spec("hb+tc+detect")`` /
 :class:`repro.api.Session` — which shares one event walk across many
 configurations and picks up orders registered at runtime via
-:func:`repro.api.register_order`.  :func:`analysis_class_by_name`
-delegates to that registry, so it sees registered orders too.
+:func:`repro.api.register_order`; resolve an order by name with
+:func:`repro.api.order_class`.
 """
 
 from .detectors import RaceDetector, ReversiblePairDetector
@@ -30,17 +30,6 @@ ANALYSIS_CLASSES = {
 }
 
 
-def analysis_class_by_name(name: str) -> type:
-    """Resolve ``"HB"`` / ``"SHB"`` / ``"MAZ"`` (case-insensitive) to a class.
-
-    Delegates to the :mod:`repro.api` order registry, so partial orders
-    added via :func:`repro.api.register_order` resolve here as well.
-    """
-    from ..api.registry import ORDERS  # local import: repro.api sits above this package
-
-    return ORDERS.get(name)
-
-
 __all__ = [
     "ANALYSIS_CLASSES",
     "AnalysisResult",
@@ -53,7 +42,6 @@ __all__ = [
     "RaceDetector",
     "ReversiblePairDetector",
     "SHBAnalysis",
-    "analysis_class_by_name",
     "compute_hb",
     "compute_maz",
     "compute_shb",

@@ -49,7 +49,6 @@ from .sources import (
     EventSource,
     FileSource,
     GeneratorSource,
-    QueueSource,
     TraceSource,
     as_event_source,
     iter_event_batches,
@@ -66,7 +65,6 @@ __all__ = [
     "FileSource",
     "GeneratorSource",
     "ORDERS",
-    "QueueSource",
     "Registry",
     "Session",
     "SessionResult",

@@ -2,10 +2,8 @@
 
 These registries are the single source of truth behind every textual
 configuration surface — ``parse_spec("hb+tc+detect")``, the CLI
-``--order`` / ``--clock`` / ``--spec`` flags, and the legacy
-:func:`repro.analysis.analysis_class_by_name` /
-:func:`repro.clocks.clock_class_by_name` helpers (which now delegate
-here).  They are seeded from the built-in HB/SHB/MAZ analyses and the
+``--order`` / ``--clock`` / ``--spec`` flags, and the
+:func:`order_class` / :func:`clock_class` lookups.  They are seeded from the built-in HB/SHB/MAZ analyses and the
 VC/TC clocks, and they are *open*: call :func:`register_order` or
 :func:`register_clock` to plug in a new partial order or clock class and
 it immediately becomes addressable from every consumer, including

@@ -21,8 +21,7 @@ per-event protocol surface every source implements; ``event_batches()``
 is the optional bulk surface — lists of up to ``batch_size`` events —
 that the built-in sources implement natively (``TraceSource`` and
 ``GeneratorSource`` slice their in-memory tuples, ``FileSource`` rides
-the chunked file decoders, ``QueueSource`` drains greedily without
-waiting for a full batch).  :func:`iter_event_batches` is the adapter
+the chunked file decoders).  :func:`iter_event_batches` is the adapter
 ``Session.run`` walks through: it uses the native method when a source
 has one and otherwise chunks the plain ``events()`` iterator, so a
 minimal third-party source automatically rides the batched pipeline.
@@ -34,7 +33,6 @@ so ``Session.run`` accepts any of them directly.
 
 from __future__ import annotations
 
-import queue
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
@@ -79,10 +77,10 @@ def iter_event_batches(
 
     The single entry point bulk consumers use: a source exposing
     ``event_batches()`` streams through it (chunked decode for files,
-    tuple slicing for in-memory traces, greedy drain for queues); any
-    other source gets the default fallback adapter, which chunks its
-    per-event ``events()`` iterator into ``batch_size`` lists.  Either
-    way the concatenation of the batches is exactly the event stream.
+    tuple slicing for in-memory traces); any other source gets the
+    default fallback adapter, which chunks its per-event ``events()``
+    iterator into ``batch_size`` lists.  Either way the concatenation
+    of the batches is exactly the event stream.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -359,111 +357,6 @@ class CaptureSource:
         return session.finish()
 
 
-class QueueSource:
-    """Source bridging a producer thread to a session walk.
-
-    The producer side calls :meth:`put` for every event and :meth:`close`
-    when the stream ends; the consumer side hands the source to
-    ``Session.run`` (typically on a separate thread), whose ``events()``
-    iteration blocks on the internal queue until events arrive and
-    terminates when the source is closed.  This is the handoff the
-    :mod:`repro.serve` streaming-ingest path uses: the socket handler
-    thread feeds parsed events in, a walk thread analyzes them as they
-    arrive, and races surface through the session's ``on_race`` callback
-    while the producer is still sending.
-
-    ``maxsize`` bounds the queue (0 = unbounded); a bounded queue applies
-    backpressure to the producer when analysis falls behind.  The thread
-    universe is unknown upfront, so clocks grow dynamically.  The event
-    stream is consumable once.
-    """
-
-    _SENTINEL = object()
-
-    def __init__(self, name: str = "queue", maxsize: int = 0) -> None:
-        self.name = name
-        self.events_emitted = 0
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize)
-        self._closed = False
-
-    def put(self, event: Event, timeout: Optional[float] = None) -> None:
-        """Hand one event to the consumer side (blocks when bounded and full)."""
-        if self._closed:
-            raise RuntimeError("cannot put() into a closed QueueSource")
-        self._queue.put(event, timeout=timeout)
-
-    def close(self) -> None:
-        """End the stream: the consuming iteration drains and terminates.
-
-        Never blocks, even when a bounded queue is full with a dead
-        consumer: the closed flag is set first and the sentinel enqueue
-        is only a fast-path wakeup — a live consumer that misses it
-        still notices the flag once the queue drains.
-        """
-        if not self._closed:
-            self._closed = True
-            try:
-                self._queue.put_nowait(self._SENTINEL)
-            except queue.Full:
-                pass
-
-    @property
-    def closed(self) -> bool:
-        """Whether the producer side has ended the stream."""
-        return self._closed
-
-    def threads(self) -> None:
-        return None
-
-    def events(self) -> Iterator[Event]:
-        while True:
-            try:
-                item = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if item is self._SENTINEL:
-                return
-            self.events_emitted += 1
-            yield item  # type: ignore[misc]
-
-    def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Event]]:
-        """Native batches: greedy drain, never waiting to fill a batch.
-
-        Blocks only for the *first* event of each batch, then takes
-        whatever else is already queued (up to ``batch_size``) without
-        waiting — a streaming producer keeps its live latency (each
-        event is analyzed as soon as the walk is idle), while a fast
-        producer naturally coalesces into full batches.
-        """
-        get = self._queue.get
-        get_nowait = self._queue.get_nowait
-        sentinel = self._SENTINEL
-        while True:
-            try:
-                item = get(timeout=0.1)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if item is sentinel:
-                return
-            batch: List[Event] = [item]  # type: ignore[list-item]
-            while len(batch) < batch_size:
-                try:
-                    item = get_nowait()
-                except queue.Empty:
-                    break
-                if item is sentinel:
-                    self.events_emitted += len(batch)
-                    yield batch
-                    return
-                batch.append(item)  # type: ignore[arg-type]
-            self.events_emitted += len(batch)
-            yield batch
-
-
 SourceLike = Union[
     "EventSource", Trace, str, Path, BenchmarkProfile, RandomTraceConfig, Callable[[], Trace]
 ]
@@ -478,7 +371,7 @@ def as_event_source(source: SourceLike) -> EventSource:
     zero-argument callable returning a ``Trace``.
     """
     if isinstance(
-        source, (TraceSource, FileSource, ColfSource, GeneratorSource, CaptureSource, QueueSource)
+        source, (TraceSource, FileSource, ColfSource, GeneratorSource, CaptureSource)
     ):
         return source
     if isinstance(source, Trace):

@@ -24,17 +24,6 @@ CLOCK_CLASSES = {
 }
 
 
-def clock_class_by_name(name: str) -> type:
-    """Resolve ``"VC"`` / ``"TC"`` (case-insensitive) to a clock class.
-
-    Delegates to the :mod:`repro.api` clock registry, so clocks added via
-    :func:`repro.api.register_clock` resolve here as well.
-    """
-    from ..api.registry import CLOCKS  # local import: repro.api sits above this package
-
-    return CLOCKS.get(name)
-
-
 __all__ = [
     "CLOCK_CLASSES",
     "Clock",
@@ -46,7 +35,6 @@ __all__ = [
     "VectorClock",
     "VectorTime",
     "WorkCounter",
-    "clock_class_by_name",
     "clock_name",
     "epoch_of",
     "is_empty",

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from ..analysis import HBAnalysis
 from ..gen.scenarios import DEFAULT_THREAD_COUNTS, SCENARIOS
-from ..metrics.timing import compare_clocks_session
+from ..obs.timing import compare_clocks_session
 from ..metrics.work import measure_work
 from .reporting import ExperimentReport
 from .runner import ExperimentConfig

@@ -11,7 +11,7 @@ measurements so that several experiment runners can share one sweep.
 
 The sweep itself goes through :mod:`repro.api` sessions: for every
 (trace, order) pair the VC and TC cells share **one** event walk per
-repetition (:func:`~repro.metrics.timing.compare_clocks_session`), and
+repetition (:func:`~repro.obs.timing.compare_clocks_session`), and
 the work cells likewise (:func:`~repro.metrics.work.measure_work`).
 With ``ExperimentConfig(workers=N)`` the per-trace measurements
 additionally fan out across ``N`` worker processes — each worker
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 from ..analysis import ANALYSIS_CLASSES
 from ..analysis.engine import PartialOrderAnalysis
 from ..gen.suite import BenchmarkProfile, default_suite
-from ..metrics.timing import SpeedupSample, compare_clocks_session
+from ..obs.timing import SpeedupSample, compare_clocks_session
 from ..metrics.work import WorkMeasurement, measure_work
 from ..trace.stats import TraceStatistics, compute_statistics
 from ..trace.trace import Trace

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..metrics.timing import average_speedup
+from ..obs.timing import average_speedup
 from .reporting import ExperimentReport
 from .runner import DEFAULT_ORDERS, ExperimentConfig, SuiteRunner
 

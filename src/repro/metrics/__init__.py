@@ -1,12 +1,12 @@
 """Work and timing metrics for comparing clock data structures.
 
-The timing harness now lives in :mod:`repro.obs.timing` (one timing
+The timing harness lives in :mod:`repro.obs.timing` (one timing
 vocabulary for offline and online measurement); this package re-exports
-it unchanged, alongside the work-optimality measurements of
+its names unchanged, alongside the work-optimality measurements of
 :mod:`repro.metrics.work`.
 """
 
-from .timing import (
+from ..obs.timing import (
     DEFAULT_REPETITIONS,
     SpeedupSample,
     TimingSample,

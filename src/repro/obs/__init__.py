@@ -27,7 +27,7 @@ span files of one job back together, and :mod:`repro.obs.report` (via
 totals, critical path, ASCII gantt, Chrome/Perfetto export.
 
 ``repro.obs.timing`` additionally holds the offline timing harness
-(folded in from the old ``repro.metrics.timing``, which re-exports it);
+(formerly ``repro.metrics.timing``; ``repro.metrics`` re-exports it);
 it is *not* imported here because it sits above the analysis engine,
 which itself instruments through :mod:`repro.obs.metrics` — import it
 explicitly as ``repro.obs.timing`` (or keep using ``repro.metrics``).

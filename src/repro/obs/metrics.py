@@ -17,9 +17,9 @@ Design constraints, in priority order:
    enforces disabled ≤1% and enabled ≤5% on the session scalability
    cases.
 2. **Exact under concurrency.**  Counters are hammered from handler
-   threads, the pool monitor and session walk threads at once; every
-   mutation takes the instrument's lock, so totals are exact, not
-   "approximately eventually right".
+   threads and the pool monitor at once; every mutation takes the
+   instrument's lock, so totals are exact, not "approximately
+   eventually right".
 3. **Snapshot-friendly.**  :meth:`MetricsRegistry.snapshot` returns a
    plain JSON-serializable dict — the wire payload of the ``stats`` op
    and the body of the ``repro status`` table.

@@ -1,7 +1,7 @@
 """Wall-clock timing of the partial-order analyses (the one timing vocabulary).
 
 Folded into :mod:`repro.obs` from the original ``repro.metrics.timing``
-(which remains as a deprecation shim re-exporting these names), so that
+(:mod:`repro.metrics` still re-exports these names), so that
 offline measurement (this harness, :mod:`repro.bench`) and online
 measurement (:mod:`repro.obs.metrics` histograms) speak one vocabulary:
 **nanoseconds from** :func:`time.perf_counter_ns`, serialized as the

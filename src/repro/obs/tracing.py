@@ -4,8 +4,7 @@ A *span* is one timed region of a run — a whole ``session.run`` walk, a
 worker's ``serve.execute_task``, one streaming-ingest session — with
 monotonic-ns start/end stamps, free-form attributes, and parent/child
 nesting tracked through :mod:`contextvars` (so nesting is correct across
-the serve handler threads and the per-stream walk threads without any
-caller bookkeeping)::
+the serve handler threads without any caller bookkeeping)::
 
     from repro.obs import tracing
 

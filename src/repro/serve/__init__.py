@@ -22,10 +22,10 @@ seen.  The layering, bottom to top:
 * :class:`TraceServer` / :class:`ServeClient`
   (:mod:`repro.serve.server` / :mod:`repro.serve.client`) — a JSON-lines
   TCP protocol (:mod:`repro.serve.protocol`) supporting whole-trace
-  submission *and* streaming ingest, where events are fed live into an
-  incremental :class:`~repro.api.Session` via a
-  :class:`~repro.api.QueueSource` and races return while the producer
-  is still sending.
+  submission *and* streaming ingest, where each fed message is analyzed
+  inline by an incremental :class:`~repro.api.Session` and its races
+  return in that message's response, while the producer is still
+  sending.
 
 From the command line: ``repro serve``, ``repro submit``,
 ``repro status`` (:mod:`repro.serve.cli`).

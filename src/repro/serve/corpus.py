@@ -312,7 +312,7 @@ class TraceCorpus:
             "traces": {digest: entry.as_dict() for digest, entry in self._entries.items()},
         }
         temp = self.index_path.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(payload, indent=2) + "\n")
+        temp.write_text(json.dumps(payload) + "\n")
         os.replace(temp, self.index_path)
 
     # -- ingest ------------------------------------------------------------------------

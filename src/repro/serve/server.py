@@ -12,21 +12,19 @@ Two ingestion shapes:
   content-addressed into the corpus and (trace × spec) jobs fan out
   across the worker pool; results are read back with ``results``.
 * **streaming ingest** (``stream_begin`` / ``feed`` / ``stream_end``) —
-  events arrive one STD line at a time (or batched) and flow through a
-  :class:`~repro.api.sources.QueueSource` into an incremental
-  :class:`~repro.api.Session` running on a per-stream walk thread;
-  races stream back in the ``feed`` responses *while the producer is
-  still sending*, exactly the online-detection story of
-  ``repro capture``, but across a socket.  With ``save=true`` the
-  streamed events are additionally ingested into the corpus at stream
-  end.
+  events arrive one STD line at a time (or batched), and each ``feed``
+  is analyzed inline by an incremental :class:`~repro.api.Session` in
+  the connection's handler thread; the races a feed's events produce
+  come back in that feed's own response *while the producer is still
+  sending*, exactly the online-detection story of ``repro capture``,
+  but across a socket.  With ``save=true`` the streamed events are
+  additionally ingested into the corpus at stream end.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
-import queue
 import socketserver
 import tempfile
 import threading
@@ -36,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.result import Race
 from ..analysis.serial import race_from_record, race_to_record
-from ..api import QueueSource, Session
+from ..api import Session
 from ..api.spec import coerce_spec
 from ..cli_util import package_version
 from ..faults import ChaosMonkey
@@ -74,32 +72,31 @@ log = get_logger("serve")
 
 
 class _StreamState:
-    """One connection's live streaming-ingest session.
+    """One connection's streaming-ingest session.
 
-    Memory is bounded in both directions: the handoff to the walk thread
-    goes through a *bounded* :class:`QueueSource` (a producer outpacing
-    the analysis blocks in ``feed`` — backpressure through the socket
-    instead of unbounded buffering), and ``save=true`` spools the
-    incoming events to a gzipped temp file instead of keeping them in
-    RAM, so streaming a multi-gigabyte trace costs O(queue) memory.
+    Every stream with specs has one analysis path.  ``stream_begin``
+    builds a :class:`Session` and begins its walk; each ``feed`` parses
+    its message and analyzes it inline in the handler thread
+    (``Session.feed_batch``), then spools and counts it; ``stream_end``
+    finishes the walk.  When a feed returns, the session has absorbed
+    every event the message carried, so the races those events produced
+    ride back in that message's own response, and between two feeds the
+    session is quiescent: every piece of state (engine clocks, detector
+    maps, spool byte offset, reported races) refers to the same event
+    prefix.
 
-    Checkpointed streams (``checkpoint=true`` at ``stream_begin``) trade
-    the walk thread for durability: events are analyzed *synchronously*
-    in the handler thread, so between two ``feed`` messages the session
-    is quiescent and every piece of state (engine clocks, detector maps,
-    spool byte offset, reported races) refers to the same event prefix.
-    Every ``checkpoint_every`` events the spool's gzip member is closed
-    and a versioned snapshot is atomically replaced on disk; after a
+    Memory is bounded by the protocol itself: a producer's next ``feed``
+    waits for this one's response, so a connection holds at most one
+    message, and ``save=true`` spools the incoming events to a gzipped
+    file instead of keeping them in RAM.
+
+    ``checkpoint=true`` adds durability, not another path: every
+    ``checkpoint_every`` events the spool's gzip member is closed and a
+    versioned snapshot is atomically replaced on disk; after a
     ``kill -9`` of the server, ``stream_resume`` rebuilds the stream at
     the last checkpoint and tells the producer which event offset to
     re-feed from.
     """
-
-    #: Events buffered between the socket handler and the walk thread.
-    QUEUE_BOUND = 8192
-
-    #: Seconds a feed waits on a full queue before declaring the walk stalled.
-    FEED_TIMEOUT = 30.0
 
     #: Default events between checkpoints when the client enables
     #: checkpointing without choosing a cadence.
@@ -110,19 +107,13 @@ class _StreamState:
         name: str,
         specs: Sequence[str],
         save: bool,
-        context: Optional[obs_context.TraceContext] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         checkpoint_every: int = 0,
     ) -> None:
         self.name = name
         self.save = save
-        #: The stream's distributed trace context, captured at
-        #: stream_begin: the walk thread runs under it so the live
-        #: session's spans parent into the client's trace.
-        self._context = context
         self.spec_keys = [coerce_spec(spec).key for spec in specs]
         self._races: List[Race] = []
-        self._races_lock = threading.Lock()
         self.events_sent = 0
         # One caching parser per stream: the thread/op tokens of a live
         # trace repeat as heavily as a file's, so after warmup each
@@ -154,37 +145,17 @@ class _StreamState:
                 os.close(handle)
                 self.spool_path = Path(raw_path)
                 self._spool = gzip.open(self.spool_path, "wt", encoding="utf-8")
-        self.result = None
         self._walk_error: Optional[BaseException] = None
         # Ingest-only streams (no specs, save=true) skip the live session
         # entirely: events only flow to the spool.  This is the bounded-
         # memory upload path big `repro submit`s use before `analyze`.
-        if self.spec_keys and self.snapshot_path is None:
-            self.source: Optional[QueueSource] = QueueSource(name=name, maxsize=self.QUEUE_BOUND)
-            self.session: Optional[Session] = Session(self.spec_keys, on_race=self._collect_race)
-            self._walk: Optional[threading.Thread] = threading.Thread(
-                target=self._run_walk, daemon=True
-            )
-            self._walk.start()
-        elif self.spec_keys:
-            # Checkpointed: no walk thread — feeds run the analysis
-            # inline so a snapshot taken between feeds is exact.
-            self.source = None
-            self.session = Session(self.spec_keys, on_race=self._collect_race)
+        self.session: Optional[Session] = None
+        if self.spec_keys:
+            self.session = Session(self.spec_keys, on_race=self._races.append)
             self.session.begin(name=name)
-            self._walk = None
-        else:
-            self.source = None
-            self.session = None
-            self._walk = None
 
     @classmethod
-    def resume(
-        cls,
-        name: str,
-        checkpoint_dir: Union[str, Path],
-        context: Optional[obs_context.TraceContext] = None,
-    ) -> "_StreamState":
+    def resume(cls, name: str, checkpoint_dir: Union[str, Path]) -> "_StreamState":
         """Rebuild a checkpointed stream from its last on-disk snapshot.
 
         Raises :class:`SnapshotError` when no usable checkpoint exists.
@@ -206,7 +177,6 @@ class _StreamState:
             name,
             specs,
             save=False,
-            context=context,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=every,
         )
@@ -235,7 +205,7 @@ class _StreamState:
         state._last_checkpoint_events = state.events_sent
         races = payload.get("races")
         if isinstance(races, list):
-            state._races = [race_from_record(record) for record in races]
+            state._races.extend(race_from_record(record) for record in races)
         return state
 
     def checkpoint_now(self) -> Path:
@@ -249,8 +219,7 @@ class _StreamState:
             self._spool.close()
             spool_bytes = os.path.getsize(self.spool_path)  # type: ignore[arg-type]
             self._spool = gzip.open(self.spool_path, "at", encoding="utf-8")
-        with self._races_lock:
-            races = [race_to_record(race) for race in self._races]
+        races = [race_to_record(race) for race in self._races]
         payload: Dict[str, object] = {
             "name": self.name,
             "specs": list(self.spec_keys),
@@ -264,46 +233,20 @@ class _StreamState:
         self._last_checkpoint_events = self.events_sent
         return write_snapshot(self.snapshot_path, payload)
 
-    def _collect_race(self, race: Race) -> None:
-        with self._races_lock:
-            self._races.append(race)
-
-    def _run_walk(self) -> None:
-        try:
-            assert self.session is not None and self.source is not None
-            # Fresh thread = fresh contextvars: re-attach the stream's
-            # trace context explicitly or the walk's spans orphan.
-            with obs_context.use_context(self._context):
-                self.result = self.session.run(self.source)
-        except BaseException as error:  # noqa: BLE001 - re-raised at stream_end
-            self._walk_error = error
-
-    def feed_line(self, line: str) -> Optional[Event]:
-        """Parse one STD line and hand it to the walk; ``None`` for blanks."""
-        fed = self.feed_lines((line,))
-        return fed[0] if fed else None
-
     def feed_lines(self, lines: Sequence[str]) -> List[Event]:
-        """Parse a batch of STD lines and hand them to the walk as one unit.
+        """Parse a message's STD lines, analyze them, then spool and count them.
 
-        The whole batch is parsed first (one
+        The whole message is parsed first (one
         :meth:`~repro.trace.io.StdParser.parse_block` call on the
-        per-stream token caches), enqueued, and then spooled/counted
-        with one write per batch — the walk thread's greedy batch drain
-        sees it as one ``feed_batch``, so protocol messages carrying
-        many lines cost per-batch, not per-event, overhead on the
-        analysis side.
-        Returns the parsed events (blanks/comments excluded).
+        per-stream token caches) and fed to the session as one
+        ``feed_batch``, so protocol messages carrying many lines cost
+        per-batch, not per-event, overhead.  Returns the parsed events
+        (blanks/comments excluded).
 
-        Error atomicity is split by error class.  A *malformed line*
-        (deterministic — a retry cannot fix it) rejects the whole
-        message before anything is fed: the producer can repair the bad
-        line and resend the entire message without double-feeding.
-        *Backpressure* (transient ``queue.Full``) keeps the prefix
-        property instead: every event that did reach the walk is
-        spooled and counted before the error surfaces, so
-        ``events_sent``, the save spool and the analyzed stream never
-        disagree.
+        A *malformed line* rejects the whole message before anything is
+        fed, spooled or counted: the producer can repair the bad line and
+        resend the entire message without double-feeding.  An analysis
+        error is sticky: this and every later feed of the stream fail.
         """
         if self._walk_error is not None:
             raise RuntimeError(f"stream analysis failed: {self._walk_error}")
@@ -312,29 +255,15 @@ class _StreamState:
         events = self._parser.parse_block(lines, self.events_sent, None)
         if not events:
             return events
-        if self.source is not None:
-            put = self.source.put
-            delivered = 0
-            try:
-                for event in events:
-                    put(event, timeout=self.FEED_TIMEOUT)
-                    delivered += 1
-            except queue.Full:
-                self._commit(events[:delivered])
-                raise RuntimeError(
-                    f"stream backlog full after {self.FEED_TIMEOUT}s: the analysis "
-                    "walk cannot keep up or has stalled"
-                ) from None
-        elif self.session is not None:
-            # Checkpointed streams analyze inline (no walk thread): when
-            # this returns, the session has fully absorbed the batch and
-            # a checkpoint taken below covers exactly these events.
+        if self.session is not None:
             try:
                 self.session.feed_batch(events)
             except BaseException as error:
                 self._walk_error = error
                 raise
-        self._commit(events)
+        if self._spool is not None:
+            self._spool.write("".join(std_line(event) + "\n" for event in events))
+        self.events_sent = events[-1].eid + 1
         if (
             self.snapshot_path is not None
             and self.checkpoint_every > 0
@@ -343,45 +272,23 @@ class _StreamState:
             self.checkpoint_now()
         return events
 
-    def _commit(self, events: Sequence[Event]) -> None:
-        """Record events that reached the walk: spool them, advance the count."""
-        if not events:
-            return
-        if self._spool is not None:
-            self._spool.write("".join(std_line(event) + "\n" for event in events))
-        self.events_sent = events[-1].eid + 1
-
     def races_since(self, cursor: int) -> Tuple[List[Dict[str, object]], int]:
         """Races reported after ``cursor``, plus the new cursor."""
-        with self._races_lock:
-            fresh = [race.as_dict() for race in self._races[cursor:]]
-            return fresh, len(self._races)
+        return [race.as_dict() for race in self._races[cursor:]], len(self._races)
 
-    def finish(self, timeout: float = 60.0):
-        """Close the stream and join the walk; returns the SessionResult.
+    def finish(self):
+        """Close the stream and finish its walk; returns the SessionResult.
 
         Ingest-only streams (no specs) have no walk and return ``None``.
         """
-        if self.source is not None:
-            self.source.close()
         if self._spool is not None:
             self._spool.close()
             self._spool = None
-        if self._walk is not None:
-            self._walk.join(timeout)
-            if self._walk.is_alive():
-                raise RuntimeError("stream analysis walk did not finish")
-            if self._walk_error is not None:
-                raise RuntimeError(f"stream analysis failed: {self._walk_error}")
-            self.discard_snapshot()
-            return self.result
         if self._walk_error is not None:
             raise RuntimeError(f"stream analysis failed: {self._walk_error}")
-        if self.session is not None:
-            # Synchronous (checkpointed) stream: close it inline.
-            self.result = self.session.finish()
+        result = self.session.finish() if self.session is not None else None
         self.discard_snapshot()
-        return self.result
+        return result
 
     def discard_spool(self) -> None:
         """Delete the save spool (after ingest, or on teardown)."""
@@ -404,8 +311,6 @@ class _StreamState:
         freshly attempted) snapshot and the spool it references stay on
         disk so ``stream_resume`` can pick the stream back up.
         """
-        if self.source is not None and not self.source.closed:
-            self.source.close()
         if self.snapshot_path is not None:
             try:
                 if self._walk_error is None:
@@ -417,8 +322,6 @@ class _StreamState:
                 self._spool = None
         else:
             self.discard_spool()
-        if self._walk is not None:
-            self._walk.join(5.0)
 
 
 class ServeHandler(socketserver.StreamRequestHandler):
@@ -449,8 +352,9 @@ class ServeHandler(socketserver.StreamRequestHandler):
             else:
                 # Context propagation: the request's traceparent (if any)
                 # becomes the ambient context for everything this op does
-                # — the serve.op.* span parents under it, and work handed
-                # onward (scheduler jobs, stream walks) captures it.
+                # — the serve.op.* span parents under it, a stream's
+                # inline analysis runs under it, and scheduler jobs
+                # handed onward capture it.
                 remote = obs_context.context_from_message(request)
                 token = (
                     obs_context.attach_context(remote) if remote is not None else None
@@ -664,7 +568,6 @@ class ServeHandler(socketserver.StreamRequestHandler):
             name=name,
             specs=[str(s) for s in specs],
             save=save,
-            context=obs_context.active_context(),
             checkpoint_dir=self.server.recovery_dir if checkpoint else None,
             checkpoint_every=checkpoint_every if checkpoint else 0,
         )
@@ -687,11 +590,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
         if not name:
             return error_response("stream_resume needs the stream 'name'")
         try:
-            stream = _StreamState.resume(
-                name,
-                self.server.recovery_dir,
-                context=obs_context.active_context(),
-            )
+            stream = _StreamState.resume(name, self.server.recovery_dir)
         except SnapshotError as error:
             return error_response(str(error))
         self._stream = stream

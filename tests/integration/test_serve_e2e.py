@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.gen.scenarios import SCENARIOS
-from repro.serve import ServeClient, TraceServer
+from repro.serve import ServeClient, ServeClientError, TraceServer
 from repro.serve.cli import main_serve, main_status, main_submit
 from repro.trace.io import save_trace, std_line
 from repro.api import Session
@@ -176,9 +176,10 @@ class TestServerEndToEnd:
             server.close()
 
     def test_race_reports_arrive_before_stream_end(self, tmp_path):
-        # A trace whose race completes early: the feed responses (not
-        # just stream_end) must carry it — that is the "races as they
-        # are found" contract.
+        # A trace whose race completes early: the race must come back in
+        # the response to the very feed that carries its second access
+        # (eid 1) — each feed is analyzed before it is answered, which
+        # is the "races as they are found" contract.
         from repro import TraceBuilder
 
         builder = TraceBuilder(name="early-race")
@@ -192,13 +193,61 @@ class TestServerEndToEnd:
         try:
             with ServeClient(host, port) as client:
                 stream = client.stream_begin("early", ["shb+tc+detect"])
-                races_before_end = 0
-                for event in trace:
-                    races_before_end += len(stream.feed(event)["races"])
-                    if races_before_end:
-                        break
-                stream.end()
-                assert races_before_end > 0
+                replies = [stream.feed(event) for event in trace.events[:3]]
+                final = stream.end()
+            assert replies[0]["races"] == []
+            assert [race["event_eid"] for race in replies[1]["races"]] == [1]
+            assert replies[2]["races"] == []
+            assert len(final["races"]) == 1
+        finally:
+            server.close()
+
+    def test_malformed_feed_is_rejected_whole_and_resendable(self, tmp_path):
+        # A feed holding a malformed line errors before anything in it is
+        # analyzed, spooled or counted; resending the repaired message
+        # then ends in the same races and corpus digest as a stream that
+        # never saw the bad message.
+        from repro import TraceBuilder
+
+        builder = TraceBuilder(name="repairable")
+        builder.write(1, "x").write(2, "x")
+        for index in range(20):
+            tid = 1 + index % 2
+            builder.acquire(tid, "l").write(tid, f"y{index % 3}").release(tid, "l")
+        builder.read(2, "y0").write(3, "y1")
+        trace = builder.build()
+        lines = [std_line(event) for event in trace]
+        spec = "shb+tc+detect"
+        server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=1)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.address
+        try:
+            with ServeClient(host, port) as client:
+                stream = client.stream_begin("whole", [spec], save=True)
+                stream.feed_lines(lines[:1])
+                stream.feed_lines(lines[1:30])
+                stream.feed_lines(lines[30:])
+                uninterrupted = stream.end()
+            with ServeClient(host, port) as client:
+                stream = client.stream_begin("repaired", [spec], save=True)
+                assert stream.feed_lines(lines[:1])["events"] == 1
+                with pytest.raises(ServeClientError, match="line"):
+                    stream.feed_lines(lines[1:10] + ["T2|bogus(x)|0"] + lines[10:30])
+                # Nothing of the rejected message reached the session.
+                unchanged = stream.feed_lines([])
+                assert unchanged["events"] == 1
+                assert unchanged["races"] == [] and unchanged["race_count"] == 0
+                repaired = stream.feed_lines(lines[1:30])
+                assert repaired["events"] == 30
+                assert [race["event_eid"] for race in repaired["races"]][:1] == [1]
+                stream.feed_lines(lines[30:])
+                resent = stream.end()
+            assert resent["events"] == uninterrupted["events"] == len(trace)
+            assert resent["races"] == uninterrupted["races"]
+            assert resent["specs"][spec]["race_count"] == uninterrupted["specs"][spec]["race_count"]
+            # Same spooled bytes: the same content-addressed corpus entry.
+            assert resent["digest"] == uninterrupted["digest"]
+            assert not resent["created"]
         finally:
             server.close()
 

@@ -9,8 +9,7 @@ the shared source must be consumed exactly once regardless of k.
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis import ANALYSIS_CLASSES
-from repro.api import Session, TraceSource, parse_spec
-from repro.clocks import clock_class_by_name
+from repro.api import Session, TraceSource, clock_class, parse_spec
 from util_traces import trace_strategy
 
 RELAXED = settings(
@@ -45,7 +44,7 @@ def test_multi_spec_session_equals_individual_runs(trace):
     for spec_text in ALL_SPECS:
         spec = parse_spec(spec_text)
         legacy = ANALYSIS_CLASSES[spec.order](
-            clock_class_by_name(spec.clock), detect=True, capture_timestamps=True
+            clock_class(spec.clock), detect=True, capture_timestamps=True
         ).run(trace)
         via_session = session_result[spec]
         assert via_session.timestamps == legacy.timestamps, spec_text

@@ -1,8 +1,6 @@
 """Unit tests for the batched source surface (``event_batches``) and
 ``Session.feed_batch`` plumbing."""
 
-import threading
-
 import pytest
 
 from repro.api import Session
@@ -10,7 +8,6 @@ from repro.api.sources import (
     DEFAULT_BATCH_SIZE,
     FileSource,
     GeneratorSource,
-    QueueSource,
     TraceSource,
     iter_event_batches,
 )
@@ -79,43 +76,6 @@ class TestIterEventBatches:
         from repro.trace.io import DEFAULT_BATCH_SIZE as IO_DEFAULT
 
         assert DEFAULT_BATCH_SIZE == IO_DEFAULT
-
-
-class TestQueueSourceBatches:
-    def test_greedy_drain_without_waiting_for_full_batches(self, small_trace):
-        source = QueueSource(name="q")
-        for event in small_trace:
-            source.put(event)
-        source.close()
-        batches = list(source.event_batches(batch_size=100))
-        # Everything was queued upfront, so one greedy batch drains it all.
-        assert [e for batch in batches for e in batch] == list(small_trace)
-        assert source.events_emitted == len(small_trace)
-
-    def test_batch_size_caps_the_drain(self, small_trace):
-        source = QueueSource(name="q")
-        for event in small_trace:
-            source.put(event)
-        source.close()
-        batches = list(source.event_batches(batch_size=4))
-        assert [len(batch) for batch in batches] == [4, 4, 2]
-
-    def test_bounded_queue_feeds_a_threaded_batched_walk(self, small_trace):
-        source = QueueSource(name="q", maxsize=4)
-        session = Session(["shb+tc+detect"])
-        results = {}
-
-        def walk():
-            results["result"] = session.run(source)
-
-        thread = threading.Thread(target=walk)
-        thread.start()
-        for event in small_trace:
-            source.put(event, timeout=5.0)
-        source.close()
-        thread.join(10.0)
-        assert not thread.is_alive()
-        assert results["result"].num_events == len(small_trace)
 
 
 class TestSessionFeedBatch:

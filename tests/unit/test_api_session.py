@@ -20,10 +20,10 @@ from repro.api import (
     Session,
     TraceSource,
     as_event_source,
+    clock_class,
     run_specs,
 )
 from repro.capture.recorder import TraceRecorder
-from repro.clocks import clock_class_by_name
 from repro.gen import RandomTraceConfig, get_profile
 from repro.trace import OpKind, Trace, TraceBuilder, dumps_csv, dumps_std, load_trace, save_trace
 from repro.trace import event as ev
@@ -62,7 +62,7 @@ class TestSessionEqualsIndividualRuns:
         for combo in ALL_COMBOS:
             order, clock = combo.split("+")
             legacy = ANALYSIS_CLASSES[order.upper()](
-                clock_class_by_name(clock), detect=True, capture_timestamps=True
+                clock_class(clock), detect=True, capture_timestamps=True
             ).run(trace)
             via_session = session_result[f"{combo}+detect+ts"]
             assert via_session.timestamps == legacy.timestamps, combo
@@ -74,7 +74,7 @@ class TestSessionEqualsIndividualRuns:
     def test_work_counters_match_individual_runs(self, small_trace):
         session_result = Session(["hb+tc+work", "hb+vc+work"]).run(small_trace)
         for clock in ("tc", "vc"):
-            legacy = ANALYSIS_CLASSES["HB"](clock_class_by_name(clock), count_work=True).run(
+            legacy = ANALYSIS_CLASSES["HB"](clock_class(clock), count_work=True).run(
                 small_trace
             )
             via_session = session_result[f"hb+{clock}+work"]

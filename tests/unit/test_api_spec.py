@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analysis import HBAnalysis, MAZAnalysis, SHBAnalysis, analysis_class_by_name
+from repro.analysis import HBAnalysis, MAZAnalysis, SHBAnalysis
 from repro.api import AnalysisSpec, coerce_spec, parse_spec
 from repro.api.registry import CLOCKS, ORDERS, Registry, clock_class, order_class
-from repro.clocks import TreeClock, VectorClock, clock_class_by_name
+from repro.clocks import TreeClock, VectorClock
 
 
 class TestRegistry:
@@ -58,16 +58,16 @@ class TestRegistry:
         registry.register("X", B, overwrite=True)
         assert registry.get("x") is B
 
-    def test_legacy_lookups_delegate_to_the_registry(self):
-        assert analysis_class_by_name("hb") is order_class("hb")
-        assert clock_class_by_name("tc") is clock_class("tc")
+    def test_lookups_resolve_registered_orders(self):
+        assert order_class("hb") is HBAnalysis
+        assert clock_class("tc") is TreeClock
 
         class FakeOrder:
             PARTIAL_ORDER = "FAKE"
 
         ORDERS.register("FAKE", FakeOrder)
         try:
-            assert analysis_class_by_name("fake") is FakeOrder
+            assert order_class("fake") is FakeOrder
         finally:
             ORDERS._classes.pop("FAKE")
             ORDERS._aliases.pop("FAKE")

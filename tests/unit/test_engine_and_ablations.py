@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis import HBAnalysis, SHBAnalysis, analysis_class_by_name
+from repro.analysis import HBAnalysis, SHBAnalysis
 from repro.analysis.ablations import HBDeepCopyAnalysis, SHBDeepCopyAnalysis
 from repro.analysis.engine import PartialOrderAnalysis
+from repro.api import order_class
 from repro.clocks import TreeClock, VectorClock
 from repro.trace import Trace, TraceBuilder
 from repro.trace import event as ev
@@ -50,10 +51,10 @@ class TestEngine:
         counted = HBAnalysis(TreeClock, count_work=True).run(TraceBuilder().read(1, "x").build())
         assert counted.work is not None and counted.work.increments == 1
 
-    def test_analysis_class_by_name(self):
-        assert analysis_class_by_name("hb") is HBAnalysis
+    def test_order_class_by_name(self):
+        assert order_class("hb") is HBAnalysis
         with pytest.raises(ValueError):
-            analysis_class_by_name("CP")
+            order_class("CP")
 
 
 class TestAblationVariants:

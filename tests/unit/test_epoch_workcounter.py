@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import clock_class
 from repro.clocks import (
     CLOCK_CLASSES,
     ClockContext,
@@ -9,7 +10,6 @@ from repro.clocks import (
     TreeClock,
     VectorClock,
     WorkCounter,
-    clock_class_by_name,
     clock_name,
     epoch_of,
     is_empty,
@@ -116,13 +116,13 @@ class TestRegistry:
         assert CLOCK_CLASSES["VC"] is VectorClock
         assert CLOCK_CLASSES["TC"] is TreeClock
 
-    def test_clock_class_by_name_is_case_insensitive(self):
-        assert clock_class_by_name("vc") is VectorClock
-        assert clock_class_by_name("Tc") is TreeClock
+    def test_clock_class_is_case_insensitive(self):
+        assert clock_class("vc") is VectorClock
+        assert clock_class("Tc") is TreeClock
 
-    def test_clock_class_by_name_rejects_unknown(self):
+    def test_clock_class_rejects_unknown(self):
         with pytest.raises(ValueError):
-            clock_class_by_name("mystery")
+            clock_class("mystery")
 
     def test_clock_name(self):
         assert clock_name(VectorClock) == "VC"

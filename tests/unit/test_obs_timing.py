@@ -1,10 +1,9 @@
 """Unit tests for the timing fold: :func:`repro.obs.timing.timing_fields`
-and the ``repro.metrics`` compatibility shim."""
+and its re-export from ``repro.metrics``."""
 
 import pytest
 
 import repro.metrics
-import repro.metrics.timing
 import repro.obs.timing
 from repro.obs.timing import timing_fields
 
@@ -25,7 +24,7 @@ class TestTimingFields:
 
 
 class TestMetricsShim:
-    """``repro.metrics.timing`` must stay a faithful alias of the moved module."""
+    """``repro.metrics`` must keep re-exporting the moved timing names."""
 
     SHARED = (
         "DEFAULT_REPETITIONS",
@@ -38,10 +37,6 @@ class TestMetricsShim:
         "time_analysis",
         "timing_fields",
     )
-
-    def test_shim_re_exports_the_same_objects(self):
-        for name in self.SHARED:
-            assert getattr(repro.metrics.timing, name) is getattr(repro.obs.timing, name), name
 
     def test_package_namespace_also_re_exports(self):
         for name in self.SHARED:
